@@ -1,84 +1,73 @@
-"""Word-packed GF(2) Toeplitz matrix-vector kernels.
+"""GF(2) Toeplitz matrix-vector and chained-MAC kernels on numpy.
 
-Two interchangeable backends compute the same bit-exact result:
+Toeplitz product. Both hash families reduce to one window of an integer
+convolution: with a the vector of the block's diagonals and x the bits
+the block multiplies, output bit i is the parity of coefficient i of
+np.convolve(a, x, "valid"), whose length is exactly the m outputs. For
+the [T | I] family a holds the n - 1 seed bits in diagonal order and x
+the K = n - m head bits; for the plain family a is the m + n - 1 seed
+and x all n input bits.
 
-- a numba-compiled row-stepping kernel over packed uint64 words,
-  O(n * m / 64), used when numba is importable;
-- a pure-numpy path that evaluates the Toeplitz block as a binary
-  convolution (O(n * m) scalar work in C), used as the fallback.
+The window is computed one of two ways:
 
-Set the environment variable QLHL_PURE_NUMPY=1 to force the numpy path
-even when numba is installed. `use_backend()` overrides the selection
-for a scope, which is how the benchmark compares the two paths inside
-one process.
+- exact: np.convolve(..., "valid") on float64 copies of the bits. Every
+  product is 0 or 1 and every coefficient an integer at most
+  min(len a, len x) < 2**53, so each partial sum is an integer that
+  float64 represents exactly, in any order of summation. Cost m * len x.
+- FFT: a float64 rfft product of circular size N, the next power of two
+  >= len a, costing O(N log N). Terms of the linear convolution at index
+  >= N wrap to index - N <= len x - 2, below the window, which starts at
+  len x - 1, so N need not cover len a + len x.
 
-Packing convention: bit index b lives in word b // 64 at position b % 64
-(LSB-first within the word). The row register walks the Toeplitz block
-one diagonal per output bit; bits shifted past the block width fall into
-positions that the zero-padded operand masks out, and are cleared anyway
-to keep the register exact.
+Error bound of the FFT path. Each coefficient c is an integer with
+0 <= c <= min(len a, len x). A float64 FFT convolution has error
+O(u * log2 N * |a|_2 * |x|_2) in every coefficient, u = 2**-53, and
+here |a|_2 * |x|_2 <= sqrt(len a * len x) <= N. For N <= 2**26 that is
+of order 26 * 2**26 * 2**-53 < 2**-22, far below 0.25, so rounding each
+coefficient to the nearest integer recovers it exactly. The bound is
+backed at run time: if any coefficient lies 0.25 or more from its
+nearest integer, the window is recomputed on the exact path.
+
+The FFT path is taken when the exact path's work m * len x exceeds
+_EXACT_WORK_PER_FFT_POINT times N, the point where the two cost about
+the same on a 2-vCPU x86 host (numpy 2.4, pocketfft). The crossover
+scales with N because the FFT's cost does: a fixed work threshold would
+send a 64-bit tag of a 32 kbit message (2 M operations, exact 0.4 ms)
+to a 32 k-point FFT (1.7 ms).
+
+Chained MAC. Message blocks and hash rows are packed LSB-first into
+uint64 words: bit b of a row lives in word b // 64 at position b % 64.
+The parities of all t hash rows against every block are computed with
+word-wise AND, XOR and popcount over fixed chunks of blocks, so memory
+stays bounded by the chunk; the per-block t-bit results then pass
+through the Galois state update in a short Python loop.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("QLHL_PURE_NUMPY", "") not in ("", "0")
+# numpy is the only backend; callers that record the environment read this
+HAS_NUMBA = False
 
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-_backend = "numba" if HAS_NUMBA else "numpy"
+# exact-path operations per FFT point below which 'valid' convolve wins
+_EXACT_WORK_PER_FFT_POINT = 256
+# a coefficient this far from an integer means the FFT lost precision
+_ROUNDING_GUARD = 0.25
+# message blocks per batched parity step of the chained MAC
+_MAC_CHUNK_BLOCKS = 256
 
 
 def backend() -> str:
-    """Name of the currently selected kernel backend."""
-    return _backend
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily force a backend ('numba' or 'numpy')."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    previous = _backend
-    _backend = name
-    try:
-        yield
-    finally:
-        _backend = previous
-
-
-def _pack_words(bits_u8: np.ndarray) -> np.ndarray:
-    """Pack 0/1 uint8 entries into uint64 words, bit b at word b//64."""
-    n = int(bits_u8.size)
-    if n == 0:
-        return np.zeros(1, dtype=np.uint64)
-    pad = (-n) % 64
-    if pad:
-        bits_u8 = np.concatenate([bits_u8, np.zeros(pad, dtype=np.uint8)])
-    packed = np.packbits(bits_u8, bitorder="little")
-    # force little-endian word semantics independent of platform
-    return np.frombuffer(packed.tobytes(), dtype="<u8").astype(np.uint64)
+    """Name of the kernel backend."""
+    return "numpy"
 
 
 def pack_rows(bits_2d: np.ndarray) -> np.ndarray:
     """Pack each row of a 0/1 uint8 matrix into uint64 words.
 
-    Same bit convention as `_pack_words`, applied row-wise. Returns a
-    (rows, ceil(cols / 64)) uint64 array.
+    Bit b of a row lands in word b // 64 at position b % 64. Returns a
+    (rows, max(1, ceil(cols / 64))) uint64 array.
     """
     rows, cols = bits_2d.shape
     nw = max(1, (cols + 63) // 64)
@@ -91,146 +80,70 @@ def pack_rows(bits_2d: np.ndarray) -> np.ndarray:
     return flat.reshape(rows, nw).astype(np.uint64)
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _parity64(x: np.uint64) -> np.uint64:
-        x ^= x >> np.uint64(32)
-        x ^= x >> np.uint64(16)
-        x ^= x >> np.uint64(8)
-        x ^= x >> np.uint64(4)
-        x ^= x >> np.uint64(2)
-        x ^= x >> np.uint64(1)
-        return x & np.uint64(1)
-
-    @njit(cache=True)
-    def _getbit(words: np.ndarray, idx: int) -> np.uint64:
-        return (words[idx >> 6] >> np.uint64(idx & 63)) & np.uint64(1)
-
-    @njit(cache=True)
-    def _toeplitz_rows_packed(seed_words, first_col_start, width, m,
-                              operand_words, tail_u8, out_u8):
-        """Shared row-stepping multiply.
-
-        Row i of the block is a `width`-bit register; stepping to row i+1
-        shifts every bit up one column and inserts the next first-column
-        seed bit at column 0. Output bit i is parity(row & operand) xor
-        tail[i] (tail is the identity-block contribution, all zeros for
-        the plain Toeplitz family).
-        """
-        nw = max(1, (width + 63) >> 6)
-        row = np.zeros(nw, dtype=np.uint64)
-        if width > 0:
-            # first row: column 0 holds the first first-column bit, the
-            # rest of the row continues along the seed tail
-            if _getbit(seed_words, first_col_start):
-                row[0] |= np.uint64(1)
-            for j in range(1, width):
-                if _getbit(seed_words, first_col_start + m - 1 + j):
-                    row[j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-        rem = width & 63
-        last_mask = (np.uint64(1) << np.uint64(rem)) - np.uint64(1) if rem \
-            else ~np.uint64(0)
-        for i in range(m):
-            acc = np.uint64(0)
-            for w in range(nw):
-                acc ^= row[w] & operand_words[w]
-            out_u8[i] = np.uint8(_parity64(acc) ^ np.uint64(tail_u8[i]))
-            if i + 1 < m and width > 0:
-                carry = np.uint64(0)
-                for w in range(nw):
-                    nxt = row[w] >> np.uint64(63)
-                    row[w] = (row[w] << np.uint64(1)) | carry
-                    carry = nxt
-                row[nw - 1] &= last_mask
-                if _getbit(seed_words, first_col_start + i + 1):
-                    row[0] |= np.uint64(1)
+def _fft_convolve(a: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """Circular convolution of a and x over `size` points, in float64."""
+    fft = np.fft  # first use imports numpy.fft
+    return fft.irfft(fft.rfft(a, size) * fft.rfft(x, size), size)
 
 
-def _modified_numba(seed_u8, n, m, x_u8):
+def _valid_parity(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Parities of np.convolve(a, x, "valid") for 0/1 arrays.
+
+    Requires 1 <= len(x) <= len(a); returns len(a) - len(x) + 1 bits as
+    a uint8 array.
+    """
+    k = x.size
+    m = a.size - k + 1
+    size = 1 << (a.size - 1).bit_length()
+    if m * k > _EXACT_WORK_PER_FFT_POINT * size:
+        window = _fft_convolve(a, x, size)[k - 1:a.size]
+        coeffs = np.rint(window)
+        if np.abs(window - coeffs).max() < _ROUNDING_GUARD:
+            return (coeffs.astype(np.int64) & 1).astype(np.uint8)
+    coeffs = np.convolve(a.astype(np.float64), x.astype(np.float64), "valid")
+    return (coeffs.astype(np.int64) & 1).astype(np.uint8)
+
+
+def matvec_bits(modified: bool, seed_u8: np.ndarray, n: int, m: int,
+                x_u8: np.ndarray) -> np.ndarray:
+    """Multiply the seeded hash matrix by input bits, returning m bits.
+
+    Args:
+        modified: True for the [T | I] family, False for plain Toeplitz.
+        seed_u8: seed bits as a 0/1 uint8 array (n-1 or m+n-1 entries).
+        n: input length in bits.
+        m: output length in bits.
+        x_u8: input bits as a 0/1 uint8 array of n entries.
+
+    Returns:
+        Output bits as a 0/1 uint8 array of m entries.
+    """
+    if not modified:
+        # T[i][j] = s[i-j+n-1]: row i of T.x is coefficient n-1+i of the
+        # full product seed(t) * x(t), entry i of the 'valid' window
+        return _valid_parity(seed_u8, x_u8)
     K = n - m
-    out = np.empty(m, dtype=np.uint8)
-    seed_words = _pack_words(seed_u8)
-    xlow_words = _pack_words(x_u8[:K])
-    xhigh = np.ascontiguousarray(x_u8[K:])
-    # block rows are indexed by seed bits 0..m-1 (first column) and
-    # m..n-2 (rest of the first row); first_col_start = 0
-    _toeplitz_rows_packed(seed_words, 0, K, m, xlow_words, xhigh, out)
-    return out
-
-
-def _regular_numba(seed_u8, n, m, x_u8):
-    out = np.empty(m, dtype=np.uint8)
-    # reindex so that the first column starts at 0 in the shared kernel:
-    # rows use seed bits n-1.. (first column) and 0..n-2 (first row tail,
-    # reversed); easiest is to remap the seed into the kernel's layout.
-    remapped = np.empty(m + n - 1, dtype=np.uint8)
-    remapped[:m] = seed_u8[n - 1:]            # first column: T[i][0]=s[i+n-1]
-    if n > 1:
-        # first-row tail: T[0][j] = s[n-1-j] for j = 1..n-1
-        remapped[m:] = seed_u8[n - 2::-1]
-    seed_words = _pack_words(remapped)
-    x_words = _pack_words(x_u8)
-    tail = np.zeros(m, dtype=np.uint8)
-    _toeplitz_rows_packed(seed_words, 0, n, m, x_words, tail, out)
-    return out
-
-
-def _modified_numpy(seed_u8, n, m, x_u8):
-    K = n - m
-    xhigh = x_u8[K:].astype(np.uint8)
     if K == 0:
-        return xhigh.copy()
-    # Toeplitz-times-vector as a convolution: lay the block's defining
-    # diagonals on one axis a[], with a[K-1+p] the diagonal offset p
-    a = np.empty(n - 1, dtype=np.int64)
-    if K >= 2:
-        a[: K - 1] = seed_u8[n - K: n - 1][::-1]  # above-diagonal entries
-    a[K - 1:] = seed_u8[:m]                       # main and below: s[i-j]
-    conv = np.convolve(a, x_u8[:K].astype(np.int64))
-    return ((conv[K - 1: K - 1 + m] & 1) ^ xhigh).astype(np.uint8)
+        return x_u8.copy()
+    # a[K-1+p] is the block's diagonal at offset p: the entries above the
+    # main diagonal reversed, then the main and lower ones, s[i-j]
+    a = np.concatenate([seed_u8[m:n - 1][::-1], seed_u8[:m]])
+    return _valid_parity(a, x_u8[:K]) ^ x_u8[K:]
 
 
-def _regular_numpy(seed_u8, n, m, x_u8):
-    # T[i][j] = s[i-j+n-1]: row i of T.x is coefficient n-1+i of the
-    # polynomial product seed(t) * x(t) over GF(2)
-    conv = np.convolve(seed_u8.astype(np.int64), x_u8.astype(np.int64))
-    return (conv[n - 1: n - 1 + m] & 1).astype(np.uint8)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _chained_mac_numba(row_words, block_words, t, taps):
-        nblocks, nw = block_words.shape
-        top = np.uint64(1) << np.uint64(t - 1)
-        mask = ~np.uint64(0) if t == 64 \
-            else (np.uint64(1) << np.uint64(t)) - np.uint64(1)
-        state = np.uint64(0)
-        for blk in range(nblocks):
-            fb = taps if state & top else np.uint64(0)
-            state = ((state << np.uint64(1)) & mask) ^ fb
-            for i in range(t):
-                acc = row_words[i, 0] & block_words[blk, 0]
-                for w in range(1, nw):
-                    acc ^= row_words[i, w] & block_words[blk, w]
-                state ^= _parity64(acc) << np.uint64(i)
-        return state
-
-
-def _chained_mac_numpy(row_words, block_words, t, taps):
-    shifts = np.arange(t, dtype=np.uint64)
-    top = 1 << (t - 1)
-    mask = (1 << t) - 1
-    state = 0
-    for blk in range(block_words.shape[0]):
-        acc = np.bitwise_xor.reduce(
-            row_words & block_words[blk][None, :], axis=1)
-        bits = (np.bitwise_count(acc) & 1).astype(np.uint64)
-        mixed = int(np.bitwise_or.reduce(bits << shifts)) if t else 0
-        fb = taps if state & top else 0
-        state = ((state << 1) & mask) ^ fb ^ mixed
-    return state
+def _block_parities(row_words: np.ndarray, block_words: np.ndarray):
+    """Yield, per block, rows * block over GF(2) as an int (row i at bit i)."""
+    t, nw = row_words.shape
+    for start in range(0, block_words.shape[0], _MAC_CHUNK_BLOCKS):
+        chunk = block_words[start:start + _MAC_CHUNK_BLOCKS]
+        acc = chunk[:, :1] & row_words[:, 0]
+        for w in range(1, nw):
+            acc ^= chunk[:, w:w + 1] & row_words[:, w]
+        bits = np.bitwise_count(acc) & 1
+        packed = np.zeros((chunk.shape[0], 8), dtype=np.uint8)
+        packed[:, :(t + 7) // 8] = np.packbits(bits, axis=1,
+                                               bitorder="little")
+        yield from packed.view("<u8")[:, 0].tolist()
 
 
 def chained_mac(row_words: np.ndarray, block_words: np.ndarray,
@@ -256,30 +169,10 @@ def chained_mac(row_words: np.ndarray, block_words: np.ndarray,
     """
     if not 0 < t <= 64:
         raise ValueError("state width must be 1..64 bits")
-    if _backend == "numba":
-        return int(_chained_mac_numba(row_words, block_words, t,
-                                      np.uint64(taps)))
-    return int(_chained_mac_numpy(row_words, block_words, t, taps))
-
-
-def matvec_bits(modified: bool, seed_u8: np.ndarray, n: int, m: int,
-                x_u8: np.ndarray) -> np.ndarray:
-    """Multiply the seeded hash matrix by input bits, returning m bits.
-
-    Args:
-        modified: True for the [T | I] family, False for plain Toeplitz.
-        seed_u8: seed bits as a 0/1 uint8 array (n-1 or m+n-1 entries).
-        n: input length in bits.
-        m: output length in bits.
-        x_u8: input bits as a 0/1 uint8 array of n entries.
-
-    Returns:
-        Output bits as a 0/1 uint8 array of m entries.
-    """
-    if _backend == "numba":
-        if modified:
-            return _modified_numba(seed_u8, n, m, x_u8)
-        return _regular_numba(seed_u8, n, m, x_u8)
-    if modified:
-        return _modified_numpy(seed_u8, n, m, x_u8)
-    return _regular_numpy(seed_u8, n, m, x_u8)
+    top = 1 << (t - 1)
+    mask = (1 << t) - 1
+    state = 0
+    for mixed in _block_parities(row_words, block_words):
+        fb = taps if state & top else 0
+        state = ((state << 1) & mask) ^ fb ^ mixed
+    return state

@@ -21,7 +21,7 @@ from ..ledger import EntropyKind, SecurityLevel, SourceSpec
 
 
 class UnknownQkdIdError(KeyError):
-    """Identifier does not name a block in the QKD store."""
+    """Identifier names no unused block in the QKD store."""
 
 
 def _h(tag: bytes, *parts: bytes, digest_size: int = 32) -> bytes:
@@ -96,7 +96,7 @@ class MockQkdStore:
     Both parties hold a reference to the same store, modelling the
     key-management layer that sits on top of a QKD link. Each block is
     information-theoretically secure up to the link's failure
-    probability eps.
+    probability eps, and one-time: `fetch` retires it.
     """
 
     block_bits: int
@@ -116,12 +116,24 @@ class MockQkdStore:
         return ident, block
 
     def fetch(self, ident: bytes) -> BitString:
-        if ident not in self._blocks:
-            raise UnknownQkdIdError(f"no QKD block under id {ident.hex()}")
-        return self._blocks[ident]
+        """Hand out a block and retire it, so that it is used at most once.
+
+        Raises:
+            UnknownQkdIdError: no block was issued under ident, or it was
+                fetched before.
+        """
+        try:
+            return self._blocks.pop(ident)
+        except KeyError:
+            raise UnknownQkdIdError(
+                f"no unused QKD block under id {ident.hex()}") from None
 
     def spec_for(self, ident: bytes, label: str = "qkd") -> SourceSpec:
-        block = self.fetch(ident)
+        """Ledger entry of a block that is still unused; does not retire it."""
+        block = self._blocks.get(ident)
+        if block is None:
+            raise UnknownQkdIdError(
+                f"no unused QKD block under id {ident.hex()}")
         return SourceSpec(label=label, length=len(block),
                           hmin=float(len(block)), eps=self.eps,
                           kind=EntropyKind.MIN)

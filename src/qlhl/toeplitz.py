@@ -16,9 +16,10 @@ Matrix entries for the modified family (K = n - m block columns):
     H[i][j] = s[m - 1 + (j - i)]          for j < K, i < j
 
 `extract` is a straightforward arbitrary-precision implementation used
-as the reference; `extract_fast` dispatches to the packed word kernels
-in `_kernels` (numba when available, numpy otherwise). Both return
-identical bits for identical arguments.
+as the reference; `extract_fast` computes the same product as a window
+of one convolution in `_kernels` (exact below a size crossover, a
+checked float64 FFT above it). Both return identical bits for identical
+arguments.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def extract(h: SeededHash, x: BitString) -> BitString:
     """Hash input bits with the seeded matrix (reference implementation).
 
     Walks the Toeplitz block one row per output bit using Python integer
-    registers. Independent of the packed numpy/numba kernels.
+    registers. Independent of the convolution kernels in `_kernels`.
 
     Args:
         h: the seeded hash to apply.
@@ -170,10 +171,10 @@ def extract(h: SeededHash, x: BitString) -> BitString:
 
 
 def extract_fast(h: SeededHash, x: BitString) -> BitString:
-    """Hash input bits using the packed word kernels.
+    """Hash input bits with the sub-quadratic convolution kernel.
 
-    Bit-identical to `extract`; see `_kernels.backend()` for which
-    backend is active.
+    Bit-identical to `extract`; see `_kernels` for the exact and FFT
+    paths and the error bound that makes the FFT path exact.
     """
     n = h.params.input_len
     m = h.params.output_len

@@ -5,9 +5,10 @@ import pytest
 
 from qlhl.bits import BitString, concat_all
 from qlhl.handshake import (AbortReason, BudgetExceeded, InMemoryChannel,
-                            OneTimePad, PadExhaustedError, ScheduleParams,
-                            TamperSpec, budget, dump_transcript,
-                            make_configs, run_handshake, schedule_stage)
+                            MockQkdStore, OneTimePad, PadExhaustedError,
+                            ScheduleParams, TamperSpec, UnknownQkdIdError,
+                            budget, dump_transcript, make_configs,
+                            run_handshake, schedule_stage)
 from qlhl.handshake.protocol import (OUTCOME_ABORT, OUTCOME_SUCCESS, RECEIVER,
                                      HandshakeConfig)
 from qlhl.ledger import SecurityLevel
@@ -224,6 +225,34 @@ def test_tampered_qkd_id_aborts_as_unknown_id():
     assert result.outcome == OUTCOME_ABORT
     assert result.abort_reason == AbortReason.UNKNOWN_QKD_ID
     assert result.abort_party == "initiator"
+
+
+def test_qkd_store_fetch_retires_the_block_and_spec_for_does_not():
+    store = MockQkdStore(block_bits=16, eps=SecurityLevel.zero(),
+                         rng=np.random.default_rng(0))
+    ident, block = store.next_block()
+    assert store.spec_for(ident).length == 16
+    assert store.fetch(ident) == block
+    with pytest.raises(UnknownQkdIdError):
+        store.fetch(ident)
+    with pytest.raises(UnknownQkdIdError):
+        store.spec_for(ident)
+
+
+def test_replayed_m2_cannot_reuse_a_qkd_block():
+    # two sessions share one store; the second is fed the first's m2,
+    # whose block id names a block the initiator already consumed
+    init_cfg, resp_cfg = make_configs(n=64, eps_prime=E16, rng_seed=7)
+    first = run_handshake(init_cfg, resp_cfg)
+    assert first.outcome == OUTCOME_SUCCESS
+    replay = InMemoryChannel(transforms=[(2, lambda _: first.messages[1])])
+    second = run_handshake(init_cfg, resp_cfg, channel=replay)
+    assert second.outcome == OUTCOME_ABORT
+    assert second.abort_reason == AbortReason.UNKNOWN_QKD_ID
+    assert second.abort_party == "initiator"
+    assert second.initiator_finals is None and second.responder_finals is None
+    # without the replay the shared store still serves fresh blocks
+    assert run_handshake(init_cfg, resp_cfg).outcome == OUTCOME_SUCCESS
 
 
 def test_tampered_certificate_fails_trust_check():

@@ -1,15 +1,13 @@
-"""Tests for the packed-word kernels and backend selection."""
-
-import os
-import subprocess
-import sys
+"""Tests for the GF(2) Toeplitz and chained-MAC kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlhl import _kernels
 from qlhl.bits import BitString
-from qlhl.toeplitz import ExtractorParams, SeededHash, extract, extract_fast
+from qlhl.toeplitz import (ExtractorParams, Family, SeededHash, extract,
+                           extract_fast)
 
 
 def _random_case(rng, max_n=512):
@@ -23,6 +21,26 @@ def _random_case(rng, max_n=512):
     return modified, seed, n, m, x
 
 
+def _seeded_hash(family, n, m, rng):
+    params = ExtractorParams(family, n, m)
+    seed = BitString.from_u8(
+        rng.integers(0, 2, params.seed_len, dtype=np.uint8))
+    return SeededHash(params, seed)
+
+
+def _spy_fft(monkeypatch, shift=0.0):
+    """Record each FFT size used, adding `shift` to every coefficient."""
+    calls = []
+    original = _kernels._fft_convolve
+
+    def spy(a, x, size):
+        calls.append(size)
+        return original(a, x, size) + shift
+
+    monkeypatch.setattr(_kernels, "_fft_convolve", spy)
+    return calls
+
+
 def test_pack_rows_is_lsb_first_per_row():
     bits = np.zeros((2, 70), dtype=np.uint8)
     bits[0, 0] = 1    # word 0 bit 0
@@ -34,37 +52,98 @@ def test_pack_rows_is_lsb_first_per_row():
     assert words[1, 0] == 1 << 63 and words[1, 1] == 0
 
 
-def test_backend_reports_active_kernel():
-    assert _kernels.backend() in ("numba", "numpy")
-    with _kernels.use_backend("numpy"):
-        assert _kernels.backend() == "numpy"
-    with pytest.raises(ValueError):
-        with _kernels.use_backend("cuda"):
-            pass
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_matvec():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        modified, seed, n, m, x = _random_case(rng)
-        with _kernels.use_backend("numba"):
-            fast = _kernels.matvec_bits(modified, seed, n, m, x)
-        with _kernels.use_backend("numpy"):
-            slow = _kernels.matvec_bits(modified, seed, n, m, x)
-        assert np.array_equal(fast, slow)
-
-
 def test_numpy_backend_matches_reference_extract():
     rng = np.random.default_rng(12)
-    with _kernels.use_backend("numpy"):
-        for _ in range(50):
-            modified, seed, n, m, x = _random_case(rng, max_n=128)
-            params = (ExtractorParams.modified(n, m) if modified
-                      else ExtractorParams.regular(n, m))
-            h = SeededHash(params, BitString.from_u8(seed))
-            assert extract_fast(h, BitString.from_u8(x)) == \
-                extract(h, BitString.from_u8(x))
+    for _ in range(50):
+        modified, seed, n, m, x = _random_case(rng, max_n=128)
+        params = (ExtractorParams.modified(n, m) if modified
+                  else ExtractorParams.regular(n, m))
+        h = SeededHash(params, BitString.from_u8(seed))
+        assert extract_fast(h, BitString.from_u8(x)) == \
+            extract(h, BitString.from_u8(x))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_prop_edge_shapes_match_reference_on_both_paths(data):
+    # K = n - m of 0, 1 and 2, m = 1 and m = n, with n drawn freely so
+    # that most lengths are not powers of two; the crossover is pinned
+    # to force each path in turn
+    family = data.draw(st.sampled_from(Family))
+    n = data.draw(st.integers(1, 300))
+    m = data.draw(st.sampled_from(
+        [n, max(1, n - 1), max(1, n - 2), 1, (n + 1) // 2]))
+    h = _seeded_hash(family, n, m,
+                     np.random.default_rng(data.draw(st.integers(0, 2**32))))
+    x = BitString.from_u8(np.random.default_rng(
+        data.draw(st.integers(0, 2**32))).integers(0, 2, n, dtype=np.uint8))
+    want = extract(h, x)
+    for work_per_point in (0, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_EXACT_WORK_PER_FFT_POINT", work_per_point)
+            assert extract_fast(h, x) == want
+
+
+@pytest.mark.parametrize("family, n, m, fft", [
+    (Family.MODIFIED, 32768, 15492, True),   # pa_bulk, 32 kbit
+    (Family.MODIFIED, 4096, 411, True),
+    (Family.REGULAR, 8192, 2271, True),
+    (Family.MODIFIED, 2106, 1020, True),
+    (Family.MODIFIED, 2092, 702, False),
+    (Family.MODIFIED, 16384, 64, False),     # one-shot MAC tag
+    (Family.MODIFIED, 5888, 5826, False),    # narrow block
+    (Family.REGULAR, 3000, 40, False),
+])
+def test_shapes_either_side_of_crossover_match_reference(
+        monkeypatch, family, n, m, fft):
+    rng = np.random.default_rng(n + m)
+    h = _seeded_hash(family, n, m, rng)
+    x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
+    calls = _spy_fft(monkeypatch)
+    assert extract_fast(h, x) == extract(h, x)
+    assert bool(calls) == fft
+
+
+def _toeplitz_row(params, seed_u8, i):
+    # row i of the hash matrix from the entry formulas in toeplitz's
+    # module docstring, without the identity part
+    n, m = params.input_len, params.output_len
+    if params.family is Family.REGULAR:
+        return seed_u8[i - np.arange(n) + n - 1]
+    j = np.arange(n - m)
+    return seed_u8[np.where(i >= j, i - j, m - 1 + (j - i))]
+
+
+@pytest.mark.parametrize("family, m", [
+    (Family.MODIFIED, 56_000), (Family.REGULAR, 41_000)])
+def test_large_block_rows_match_direct_dot_product(family, m):
+    n = 100_003
+    rng = np.random.default_rng(m)
+    h = _seeded_hash(family, n, m, rng)
+    x_u8 = rng.integers(0, 2, n, dtype=np.uint8)
+    out = extract_fast(h, BitString.from_u8(x_u8)).to_u8()
+    seed_u8 = h.seed.to_u8()
+    K = n - m if family is Family.MODIFIED else n
+    for i in rng.choice(m, size=32, replace=False).tolist() + [0, m - 1]:
+        row = _toeplitz_row(h.params, seed_u8, i).astype(np.int64)
+        want = int(row @ x_u8[:K].astype(np.int64)) & 1
+        if family is Family.MODIFIED:
+            want ^= int(x_u8[K + i])
+        assert out[i] == want, i
+
+
+@pytest.mark.parametrize("shift", [0.4, 0.6])
+def test_fft_precision_loss_falls_back_to_exact_path(monkeypatch, shift):
+    # coefficients pushed 0.4 or 0.6 off their integers fail the rounding
+    # guard; unguarded, a 0.6 shift would round every coefficient up
+    calls = _spy_fft(monkeypatch, shift)
+    rng = np.random.default_rng(21)
+    for family, n, m in ((Family.MODIFIED, 8192, 3000),
+                         (Family.REGULAR, 4096, 1500)):
+        h = _seeded_hash(family, n, m, rng)
+        x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
+        assert extract_fast(h, x) == extract(h, x)
+    assert len(calls) == 2
 
 
 def _chained_reference(rows, blocks, t, taps):
@@ -89,8 +168,24 @@ def test_chained_mac_matches_bit_model(t):
     row_words = _kernels.pack_rows(rows)
     block_words = _kernels.pack_rows(blocks)
     assert _kernels.chained_mac(row_words, block_words, t, taps) == want
-    with _kernels.use_backend("numpy"):
-        assert _kernels.chained_mac(row_words, block_words, t, taps) == want
+
+
+_CHUNK = _kernels._MAC_CHUNK_BLOCKS
+
+
+@pytest.mark.parametrize("nblocks, t, b", [
+    (1, 64, 385), (_CHUNK - 1, 33, 130), (_CHUNK, 64, 64),
+    (_CHUNK + 1, 16, 200),
+    (5448, 64, 385),   # a 256 KB message under a 512-bit key
+])
+def test_chained_mac_matches_bit_model_across_chunks(nblocks, t, b):
+    rng = np.random.default_rng(nblocks)
+    taps = {16: 0x2d, 33: 0x53, 64: 0x1b}[t]
+    rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
+    blocks = rng.integers(0, 2, (nblocks, b), dtype=np.uint8)
+    got = _kernels.chained_mac(_kernels.pack_rows(rows),
+                               _kernels.pack_rows(blocks), t, taps)
+    assert got == _chained_reference(rows, blocks, t, taps)
 
 
 def test_chained_mac_rejects_bad_state_width():
@@ -99,13 +194,3 @@ def test_chained_mac_rejects_bad_state_width():
         _kernels.chained_mac(words, words, 0, 0x1)
     with pytest.raises(ValueError):
         _kernels.chained_mac(words, words, 65, 0x1)
-
-
-def test_pure_numpy_env_flag_disables_numba():
-    env = dict(os.environ, QLHL_PURE_NUMPY="1")
-    code = ("import qlhl._kernels as k; "
-            "assert k.backend() == 'numpy', k.backend(); print('ok')")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
