@@ -35,12 +35,18 @@ scales with N because the FFT's cost does: a fixed work threshold would
 send a 64-bit tag of a 32 kbit message (2 M operations, exact 0.4 ms)
 to a 32 k-point FFT (1.7 ms).
 
-Chained MAC. Message blocks and hash rows are packed LSB-first into
-uint64 words: bit b of a row lives in word b // 64 at position b % 64.
-The parities of all t hash rows against every block are computed with
-word-wise AND, XOR and popcount over fixed chunks of blocks, so memory
-stays bounded by the chunk; the per-block t-bit results then pass
-through the Galois state update in a short Python loop.
+Chained MAC. Hash rows and message blocks arrive as 0/1 uint8 matrices
+of shape (t, b) and (nblocks, b). Column j of the rows is read as a t-bit
+int (row i at bit i), and for each byte k of a block a 256-entry table
+holds, at index v, the xor of the columns 8k + p whose bit p is set in
+v: the LSB-first order of np.packbits(..., bitorder="little"). A block's
+product with the rows is then the xor over its packed bytes of one table
+entry each. The tables take 2 KB per byte of block width (about 100 KB
+for a 512-bit key); building them costs 8 doubling steps, and blocks are
+packed and looked up a fixed chunk at a time, so the other temporaries
+stay bounded by the chunk whatever the message length. The per-block
+t-bit results then pass through the Galois state update in a short
+Python loop.
 """
 
 from __future__ import annotations
@@ -54,30 +60,13 @@ HAS_NUMBA = False
 _EXACT_WORK_PER_FFT_POINT = 256
 # a coefficient this far from an integer means the FFT lost precision
 _ROUNDING_GUARD = 0.25
-# message blocks per batched parity step of the chained MAC
+# message blocks packed and looked up per step of the chained MAC
 _MAC_CHUNK_BLOCKS = 256
 
 
 def backend() -> str:
     """Name of the kernel backend."""
     return "numpy"
-
-
-def pack_rows(bits_2d: np.ndarray) -> np.ndarray:
-    """Pack each row of a 0/1 uint8 matrix into uint64 words.
-
-    Bit b of a row lands in word b // 64 at position b % 64. Returns a
-    (rows, max(1, ceil(cols / 64))) uint64 array.
-    """
-    rows, cols = bits_2d.shape
-    nw = max(1, (cols + 63) // 64)
-    pad = nw * 64 - cols
-    if pad:
-        bits_2d = np.concatenate(
-            [bits_2d, np.zeros((rows, pad), dtype=np.uint8)], axis=1)
-    packed = np.packbits(bits_2d, axis=1, bitorder="little")
-    flat = np.frombuffer(np.ascontiguousarray(packed).tobytes(), dtype="<u8")
-    return flat.reshape(rows, nw).astype(np.uint64)
 
 
 def _fft_convolve(a: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
@@ -131,36 +120,51 @@ def matvec_bits(modified: bool, seed_u8: np.ndarray, n: int, m: int,
     return _valid_parity(a, x_u8[:K]) ^ x_u8[K:]
 
 
-def _block_parities(row_words: np.ndarray, block_words: np.ndarray):
+def _byte_tables(rows: np.ndarray) -> np.ndarray:
+    """Per-byte lookup tables of the t x b hash rows, as (nbytes, 256) uint64.
+
+    Entry [k, v] is the GF(2) sum of the t-bit columns 8k + p (row i at
+    bit i) over the bits p set in v, LSB first.
+    """
+    t, b = rows.shape
+    nbytes = (b + 7) // 8
+    cols = np.zeros((nbytes * 8, 8), dtype=np.uint8)
+    cols[:b, :(t + 7) // 8] = np.packbits(rows.T, axis=1, bitorder="little")
+    cols = cols.view("<u8").reshape(nbytes, 8)
+    tab = np.zeros((nbytes, 1), dtype=np.uint64)
+    for p in range(8):
+        # doubling: the indices with bit p set add column 8k + p
+        tab = np.concatenate([tab, tab ^ cols[:, p:p + 1]], axis=1)
+    return tab
+
+
+def _block_products(rows: np.ndarray, blocks: np.ndarray):
     """Yield, per block, rows * block over GF(2) as an int (row i at bit i)."""
-    t, nw = row_words.shape
-    for start in range(0, block_words.shape[0], _MAC_CHUNK_BLOCKS):
-        chunk = block_words[start:start + _MAC_CHUNK_BLOCKS]
-        acc = chunk[:, :1] & row_words[:, 0]
-        for w in range(1, nw):
-            acc ^= chunk[:, w:w + 1] & row_words[:, w]
-        bits = np.bitwise_count(acc) & 1
-        packed = np.zeros((chunk.shape[0], 8), dtype=np.uint8)
-        packed[:, :(t + 7) // 8] = np.packbits(bits, axis=1,
-                                               bitorder="little")
-        yield from packed.view("<u8")[:, 0].tolist()
+    tab = _byte_tables(rows)
+    # packed byte k of a block indexes table k of the flattened tables
+    base = np.arange(0, tab.size, 256)
+    flat = tab.ravel()
+    for start in range(0, blocks.shape[0], _MAC_CHUNK_BLOCKS):
+        packed = np.packbits(blocks[start:start + _MAC_CHUNK_BLOCKS],
+                             axis=1, bitorder="little")
+        yield from np.bitwise_xor.reduce(flat[base + packed], axis=1).tolist()
 
 
-def chained_mac(row_words: np.ndarray, block_words: np.ndarray,
+def chained_mac(rows: np.ndarray, blocks: np.ndarray,
                 t: int, taps: int) -> int:
-    """Run the chained compression over packed message blocks.
+    """Run the chained compression over message blocks.
 
     Per block the t-bit running state takes one Galois step (shift left,
     feeding the dropped top bit back through `taps`, the low coefficients
     of a primitive degree-t polynomial) and absorbs the block through the
-    packed hash rows: state <- step(state) xor rows * block over GF(2).
-    The Galois step is a fixed invertible map, so a difference injected
-    into any block survives to the final state unless the hash rows
-    themselves annihilate it.
+    hash rows: state <- step(state) xor rows * block over GF(2). The
+    Galois step is a fixed invertible map, so a difference injected into
+    any block survives to the final state unless the hash rows themselves
+    annihilate it.
 
     Args:
-        row_words: (t, nw) packed hash rows over the block columns.
-        block_words: (nblocks, nw) packed data blocks.
+        rows: (t, b) 0/1 uint8 hash rows over the block columns.
+        blocks: (nblocks, b) 0/1 uint8 data blocks.
         t: state width in bits, at most 64.
         taps: feedback bit mask, bit i for the x**i coefficient.
 
@@ -169,10 +173,12 @@ def chained_mac(row_words: np.ndarray, block_words: np.ndarray,
     """
     if not 0 < t <= 64:
         raise ValueError("state width must be 1..64 bits")
-    top = 1 << (t - 1)
     mask = (1 << t) - 1
+    # x**t + taps: clears the bit the shift carried out and feeds it back
+    poly = (1 << t) | taps
     state = 0
-    for mixed in _block_parities(row_words, block_words):
-        fb = taps if state & top else 0
-        state = ((state << 1) & mask) ^ fb ^ mixed
+    for mixed in _block_products(rows, blocks):
+        state = (state << 1) ^ mixed
+        if state > mask:
+            state ^= poly
     return state

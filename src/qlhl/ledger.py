@@ -265,6 +265,9 @@ def source_to_kv(spec: SourceSpec) -> str:
 
 def source_from_kv(text: str) -> SourceSpec:
     record = kv_parse(text)
+    for key in ("length_bits", "hmin_bits"):
+        if key not in record:
+            raise ValueError(f"source record lacks {key!r}")
     neg = record.get("neg_log2_eps", "inf")
     return SourceSpec(
         label=record.get("label", "source"),

@@ -41,17 +41,6 @@ def _spy_fft(monkeypatch, shift=0.0):
     return calls
 
 
-def test_pack_rows_is_lsb_first_per_row():
-    bits = np.zeros((2, 70), dtype=np.uint8)
-    bits[0, 0] = 1    # word 0 bit 0
-    bits[0, 65] = 1   # word 1 bit 1
-    bits[1, 63] = 1   # word 0 bit 63
-    words = _kernels.pack_rows(bits)
-    assert words.shape == (2, 2)
-    assert words[0, 0] == 1 and words[0, 1] == 2
-    assert words[1, 0] == 1 << 63 and words[1, 1] == 0
-
-
 def test_numpy_backend_matches_reference_extract():
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -159,15 +148,14 @@ def _chained_reference(rows, blocks, t, taps):
 
 @pytest.mark.parametrize("t", [1, 2, 7, 16, 33, 64])
 def test_chained_mac_matches_bit_model(t):
+    # every block width mod 8, widths below one byte, and a random width
     rng = np.random.default_rng(13)
     taps = {1: 0x1, 2: 0x3, 7: 0x3, 16: 0x2d, 33: 0x53, 64: 0x1b}[t]
-    b = int(rng.integers(1, 150))
-    rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
-    blocks = rng.integers(0, 2, (5, b), dtype=np.uint8)
-    want = _chained_reference(rows, blocks, t, taps)
-    row_words = _kernels.pack_rows(rows)
-    block_words = _kernels.pack_rows(blocks)
-    assert _kernels.chained_mac(row_words, block_words, t, taps) == want
+    for b in [*range(1, 18), int(rng.integers(1, 150))]:
+        rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
+        blocks = rng.integers(0, 2, (5, b), dtype=np.uint8)
+        want = _chained_reference(rows, blocks, t, taps)
+        assert _kernels.chained_mac(rows, blocks, t, taps) == want, b
 
 
 _CHUNK = _kernels._MAC_CHUNK_BLOCKS
@@ -183,14 +171,13 @@ def test_chained_mac_matches_bit_model_across_chunks(nblocks, t, b):
     taps = {16: 0x2d, 33: 0x53, 64: 0x1b}[t]
     rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
     blocks = rng.integers(0, 2, (nblocks, b), dtype=np.uint8)
-    got = _kernels.chained_mac(_kernels.pack_rows(rows),
-                               _kernels.pack_rows(blocks), t, taps)
+    got = _kernels.chained_mac(rows, blocks, t, taps)
     assert got == _chained_reference(rows, blocks, t, taps)
 
 
 def test_chained_mac_rejects_bad_state_width():
-    words = np.zeros((1, 1), dtype=np.uint64)
+    bits = np.zeros((1, 1), dtype=np.uint8)
     with pytest.raises(ValueError):
-        _kernels.chained_mac(words, words, 0, 0x1)
+        _kernels.chained_mac(bits, bits, 0, 0x1)
     with pytest.raises(ValueError):
-        _kernels.chained_mac(words, words, 65, 0x1)
+        _kernels.chained_mac(bits, bits, 65, 0x1)

@@ -141,3 +141,11 @@ def test_prop_concat_adds_lengths(la, lb):
     joined = concat_sources(a, b, independent=True)
     assert joined.length == la + lb
     assert joined.hmin == float(la + lb)
+
+
+def test_source_from_kv_names_a_missing_key():
+    for missing in ("length_bits", "hmin_bits"):
+        record = {"label": "qkd", "length_bits": 8, "hmin_bits": 6}
+        del record[missing]
+        with pytest.raises(ValueError, match=missing):
+            source_from_kv(kv_format(record))

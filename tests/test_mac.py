@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qlhl.bits import BitString
-from qlhl.handshake.mac import (_GALOIS_TAPS, MacKey, its_mac_auth,
-                                its_mac_verify, one_shot_key_len,
-                                split_mac_key, transcript_mac,
+from qlhl.handshake.mac import (_GALOIS_TAPS, MacKey, _toeplitz_rows,
+                                its_mac_auth, its_mac_verify,
+                                one_shot_key_len, split_mac_key,
+                                transcript_mac,
                                 transcript_mac_block_bits,
                                 transcript_mac_verify)
 from qlhl.toeplitz import ExtractorParams, SeededHash, extract, hash_matrix
@@ -163,13 +164,25 @@ def test_chained_mac_matches_reference_model():
         assert transcript_mac(fk, msg, t) == _transcript_reference(fk, msg, t)
 
 
-def test_chained_mac_backends_agree():
+def test_chained_mac_64_bit_tag_on_301_bit_key_matches_reference():
     rng = np.random.default_rng(44)
     fk = BitString.from_u8(rng.integers(0, 2, 301, dtype=np.uint8))
     msg = rng.integers(0, 256, 500, dtype=np.uint8).tobytes()
-    default = transcript_mac(fk, msg, 64)
-    assert transcript_mac(fk, msg, 64) == default
-    assert default == _transcript_reference(fk, msg, 64)
+    assert transcript_mac(fk, msg, 64) == _transcript_reference(fk, msg, 64)
+
+
+@pytest.mark.parametrize("t", [1, 7, 64])
+def test_seed_rows_match_hash_matrix_block(t):
+    # n = 2t .. 2t + 16 gives block widths b = 1 .. 17: every b mod 8,
+    # and b below one byte; n = 2t + 200 a wider block
+    rng = np.random.default_rng(t)
+    for n in [*range(2 * t, 2 * t + 17), 2 * t + 200]:
+        b = transcript_mac_block_bits(n, t)
+        seed = BitString.from_u8(rng.integers(0, 2, n - t, dtype=np.uint8))
+        want = hash_matrix(SeededHash(ExtractorParams.modified(b + t, t),
+                                      seed))[:, :b]
+        got = _toeplitz_rows(seed.to_u8(), t, b)
+        assert got.shape == (t, b) and (got == want).all(), n
 
 
 def test_chained_mac_round_trip_and_tamper():
