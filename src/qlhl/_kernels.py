@@ -1,23 +1,42 @@
-"""GF(2) Toeplitz matrix-vector and chained-MAC kernels on numpy.
+"""GF(2) Toeplitz matrix-vector and chained-MAC kernels.
 
-Toeplitz product. Both hash families reduce to one window of an integer
-convolution: with a the vector of the block's diagonals and x the bits
-the block multiplies, output bit i is the parity of coefficient i of
-np.convolve(a, x, "valid"), whose length is exactly the m outputs. For
-the [T | I] family a holds the n - 1 seed bits in diagonal order and x
-the K = n - m head bits; for the plain family a is the m + n - 1 seed
-and x all n input bits.
+Toeplitz product. Both hash families reduce to an m x K Toeplitz block
+times K input bits, computed on the Python ints that BitString stores
+(MSB first). The block is described by one int d of its L = K + m - 1
+diagonals: column j of the block is (d >> j) & (2**m - 1), with output
+row i at bit m - 1 - i. The input is reversed into xr, so that bit j of
+xr multiplies column j. The product is the xor of the columns over the
+bits set in xr.
 
-The window is computed one of two ways:
+- [T | I] family, K = n - m: d is the K - 1 seed bits above the main
+  diagonal, reversed, followed by seed bits 0..m-1, i.e.
+  d = (rev(seed & (2**(K-1) - 1)) << m) | (seed >> (K - 1)); xr is the
+  K head bits of x reversed; the m tail bits of x are xored onto the
+  product. K = 0 leaves the identity, whose output is the tail.
+- plain family, K = n: d is the m + n - 1 seed bits as they are and xr
+  is all of x reversed.
 
-- exact: np.convolve(..., "valid") on float64 copies of the bits. Every
-  product is 0 or 1 and every coefficient an integer at most
-  min(len a, len x) < 2**53, so each partial sum is an integer that
-  float64 represents exactly, in any order of summation. Cost m * len x.
-- FFT: a float64 rfft product of circular size N, the next power of two
-  >= len a, costing O(N log N). Terms of the linear convolution at index
-  >= N wrap to index - N <= len x - 2, below the window, which starts at
-  len x - 1, so N need not cover len a + len x.
+Bit reversal shifts the int to a byte boundary and maps its bytes
+through a 256-entry reversal table, in reverse byte order.
+
+The block product is computed in one of three forms:
+
+- rows: output bit i is the parity of (d >> (m - 1 - i)) & xr. Cost m
+  int operations over L bits; the form for small m, such as MAC tags.
+- columns (four Russians): a table of the 2**w xors of w adjacent
+  columns, table[v] = xor of d >> q over the bits q set in v, is built
+  by w doubling steps; then the w-bit groups v_p of xr, taken from the
+  top, fold as acc = (acc >> w) ^ table[v_p], which leaves the xor of
+  table[v_p] >> (w * p). Cost 2**w + 2 * ceil(K / w) int operations over
+  L bits, for w = 4 (narrow blocks, a 16-entry table) or w = 8 (K in
+  the thousands, a 256-entry table).
+- FFT: output bit i is the parity of coefficient i of the 'valid'
+  convolution window of a, the L diagonals in order (a[t] is bit
+  L - 1 - t of d), with x, the K bits of xr in order. The window is
+  computed from a float64 rfft product of circular size N, the next
+  power of two >= L, costing O(N log N). Terms of the linear convolution
+  at index >= N wrap to index - N <= K - 2, below the window, which
+  starts at K - 1, so N need not cover L + K.
 
 Error bound of the FFT path. Each coefficient c is an integer with
 0 <= c <= min(len a, len x). A float64 FFT convolution has error
@@ -26,14 +45,18 @@ here |a|_2 * |x|_2 <= sqrt(len a * len x) <= N. For N <= 2**26 that is
 of order 26 * 2**26 * 2**-53 < 2**-22, far below 0.25, so rounding each
 coefficient to the nearest integer recovers it exactly. The bound is
 backed at run time: if any coefficient lies 0.25 or more from its
-nearest integer, the window is recomputed on the exact path.
+nearest integer, the window is recomputed with the cheapest exact form.
 
-The FFT path is taken when the exact path's work m * len x exceeds
-_EXACT_WORK_PER_FFT_POINT times N, the point where the two cost about
-the same on a 2-vCPU x86 host (numpy 2.4, pocketfft). The crossover
-scales with N because the FFT's cost does: a fixed work threshold would
-send a 64-bit tag of a 32 kbit message (2 M operations, exact 0.4 ms)
-to a 32 k-point FFT (1.7 ms).
+Choice of form. A cost model estimates each form's time and the
+cheapest one runs. Its constants are module constants fitted by least
+squares on per-call timings on a 2-vCPU x86 host (CPython 3.11, numpy
+2.4, pocketfft) over L from 256 to 24,000 bits: an int operation over L
+bits costs _INT_OP_US + _INT_OP_US_PER_BIT * L microseconds, a row
+parity _ROW_US + _ROW_US_PER_BIT * L, and an FFT of N points _FFT_US +
+_FFT_US_PER_POINT_LOG * N * log2 N. On that host narrow blocks
+(K = 62, m = 5,186) take about 15 us in 4-bit columns against 290 us in
+the FFT, a 64-bit tag of 16 kbit about 0.2 ms in rows, and blocks of
+16 kbit and more with K in the thousands the FFT.
 
 Chained MAC. Hash rows and message blocks arrive as 0/1 uint8 matrices
 of shape (t, b) and (nblocks, b). Column j of the rows is read as a t-bit
@@ -51,22 +74,84 @@ Python loop.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 # numpy is the only backend; callers that record the environment read this
 HAS_NUMBA = False
 
-# exact-path operations per FFT point below which 'valid' convolve wins
-_EXACT_WORK_PER_FFT_POINT = 256
 # a coefficient this far from an integer means the FFT lost precision
 _ROUNDING_GUARD = 0.25
 # message blocks packed and looked up per step of the chained MAC
 _MAC_CHUNK_BLOCKS = 256
+# column-table widths in bits: 4 and 8 read xr a nibble or a byte a time
+_TABLE_WIDTHS = (4, 8)
+# cost model in microseconds, see the module docstring
+_INT_OP_US = 0.074
+_INT_OP_US_PER_BIT = 0.000035
+_ROW_US = 0.2
+_ROW_US_PER_BIT = 0.00018
+_FFT_US = 44.0
+_FFT_US_PER_POINT_LOG = 0.003
+
+# byte -> byte with its 8 bits in reverse order
+_REVERSE_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def backend() -> str:
     """Name of the kernel backend."""
     return "numpy"
+
+
+def _reverse(v: int, k: int) -> int:
+    """The k-bit int v with its bit order reversed."""
+    nbytes = (k + 7) // 8
+    data = (v << (8 * nbytes - k)).to_bytes(nbytes, "big")
+    return int.from_bytes(data.translate(_REVERSE_BYTE), "little")
+
+
+def _operands(modified: bool, seed: int, n: int, m: int,
+              x: int) -> tuple[int, int, int, int]:
+    """Diagonals d, reversed block input xr, block width k and the tail
+    to xor onto the block product, as in the module docstring."""
+    if not modified:
+        return seed, _reverse(x, n), n, 0
+    k = n - m
+    tail = x & ((1 << m) - 1)
+    if k == 0:
+        return 0, 0, 0, tail
+    # the entries above the main diagonal reversed, then s[0..m-1]
+    low = seed & ((1 << (k - 1)) - 1)
+    d = (_reverse(low, k - 1) << m) | (seed >> (k - 1))
+    return d, _reverse(x >> m, k), k, tail
+
+
+def _rows(d: int, xr: int, k: int, m: int) -> int:
+    """Block product by one parity per output row."""
+    y = 0
+    for shift in range(m - 1, -1, -1):
+        y = (y << 1) | (((d >> shift) & xr).bit_count() & 1)
+    return y
+
+
+def _columns(d: int, xr: int, k: int, m: int, w: int) -> int:
+    """Block product by four-Russians tables of w-column sums (w = 4 or 8)."""
+    # table[v] is the xor of the columns q < w whose bit q is set in v
+    table = [0]
+    for q in range(w):
+        column = d >> q
+        table += [t ^ column for t in table]
+    # Horner from the top group down: the sum of table[v_p] >> (w * p)
+    acc = 0
+    for b in xr.to_bytes((k + 7) // 8, "big"):
+        if w == 8:
+            acc = (acc >> 8) ^ table[b]
+        else:
+            acc = (acc >> 4) ^ table[b >> 4]
+            acc = (acc >> 4) ^ table[b & 15]
+    return acc & ((1 << m) - 1)
 
 
 def _fft_convolve(a: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
@@ -75,49 +160,71 @@ def _fft_convolve(a: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
     return fft.irfft(fft.rfft(a, size) * fft.rfft(x, size), size)
 
 
-def _valid_parity(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Parities of np.convolve(a, x, "valid") for 0/1 arrays.
+def _fft(d: int, xr: int, k: int, m: int) -> int | None:
+    """Block product from a float64 FFT; None if the guard fails."""
+    length = k + m - 1
+    nbytes = (length + 7) // 8
+    # a[t] is bit length - 1 - t of d, the diagonals in convolution order
+    a = np.unpackbits(np.frombuffer(d.to_bytes(nbytes, "big"), np.uint8))
+    a = a[8 * nbytes - length:]
+    x = np.unpackbits(np.frombuffer(xr.to_bytes((k + 7) // 8, "little"),
+                                    np.uint8), count=k, bitorder="little")
+    window = _fft_convolve(a, x, _fft_size(length))[k - 1:length]
+    coeffs = np.rint(window)
+    if np.abs(window - coeffs).max() >= _ROUNDING_GUARD:
+        return None
+    bits = (coeffs.astype(np.int64) & 1).astype(np.uint8)
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-m % 8)
 
-    Requires 1 <= len(x) <= len(a); returns len(a) - len(x) + 1 bits as
-    a uint8 array.
+
+def _fft_size(length: int) -> int:
+    """Circular FFT size for L diagonals: the next power of two >= L."""
+    return 1 << (length - 1).bit_length()
+
+
+def _forms(k: int, m: int) -> list:
+    """(estimated microseconds, form) of every form, cheapest first."""
+    length = k + m - 1
+    op = _INT_OP_US + _INT_OP_US_PER_BIT * length
+    size = _fft_size(length)
+    forms = [(m * (_ROW_US + _ROW_US_PER_BIT * length), _rows),
+             (_FFT_US + _FFT_US_PER_POINT_LOG * size * (size.bit_length() - 1),
+              _fft)]
+    for w in _TABLE_WIDTHS:
+        forms.append((((1 << w) + 2 * -(-k // w)) * op,
+                      functools.partial(_columns, w=w)))
+    return sorted(forms, key=operator.itemgetter(0))
+
+
+def _block_product(d: int, xr: int, k: int, m: int) -> int:
+    """The m x k block times xr over GF(2), as an m-bit int.
+
+    Forms run cheapest first until one returns; only the FFT can decline,
+    when its rounding guard fails.
     """
-    k = x.size
-    m = a.size - k + 1
-    size = 1 << (a.size - 1).bit_length()
-    if m * k > _EXACT_WORK_PER_FFT_POINT * size:
-        window = _fft_convolve(a, x, size)[k - 1:a.size]
-        coeffs = np.rint(window)
-        if np.abs(window - coeffs).max() < _ROUNDING_GUARD:
-            return (coeffs.astype(np.int64) & 1).astype(np.uint8)
-    coeffs = np.convolve(a.astype(np.float64), x.astype(np.float64), "valid")
-    return (coeffs.astype(np.int64) & 1).astype(np.uint8)
+    for _, form in _forms(k, m):
+        y = form(d, xr, k, m)
+        if y is not None:
+            return y
 
 
-def matvec_bits(modified: bool, seed_u8: np.ndarray, n: int, m: int,
-                x_u8: np.ndarray) -> np.ndarray:
+def matvec_bits(modified: bool, seed: int, n: int, m: int, x: int) -> int:
     """Multiply the seeded hash matrix by input bits, returning m bits.
 
     Args:
         modified: True for the [T | I] family, False for plain Toeplitz.
-        seed_u8: seed bits as a 0/1 uint8 array (n-1 or m+n-1 entries).
+        seed: seed bits as an int, MSB first (n-1 or m+n-1 bits).
         n: input length in bits.
         m: output length in bits.
-        x_u8: input bits as a 0/1 uint8 array of n entries.
+        x: input bits as an int of n bits, MSB first.
 
     Returns:
-        Output bits as a 0/1 uint8 array of m entries.
+        Output bits as an int of m bits, MSB first.
     """
-    if not modified:
-        # T[i][j] = s[i-j+n-1]: row i of T.x is coefficient n-1+i of the
-        # full product seed(t) * x(t), entry i of the 'valid' window
-        return _valid_parity(seed_u8, x_u8)
-    K = n - m
-    if K == 0:
-        return x_u8.copy()
-    # a[K-1+p] is the block's diagonal at offset p: the entries above the
-    # main diagonal reversed, then the main and lower ones, s[i-j]
-    a = np.concatenate([seed_u8[m:n - 1][::-1], seed_u8[:m]])
-    return _valid_parity(a, x_u8[:K]) ^ x_u8[K:]
+    d, xr, k, tail = _operands(modified, seed, n, m, x)
+    if k == 0:
+        return tail
+    return _block_product(d, xr, k, m) ^ tail
 
 
 def _byte_tables(rows: np.ndarray) -> np.ndarray:

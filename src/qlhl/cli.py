@@ -363,19 +363,22 @@ def _selftest_surjectivity() -> str:
 
 def _selftest_fast_path() -> str:
     rng = np.random.default_rng(20240817)
-    for trial in range(300):
-        n = int(rng.integers(1, 513))
-        m = int(rng.integers(1, n + 1))
-        fam = ExtractorParams.modified if trial % 2 else \
-            ExtractorParams.regular
-        params = fam(n, m)
+    # 300 small random shapes, then one block per family large enough
+    # that the kernel takes its FFT form
+    shapes = [(int(n), int(rng.integers(1, n + 1)), trial % 2 == 1)
+              for trial, n in enumerate(rng.integers(1, 513, 300))]
+    shapes += [(8192, 3000, True), (8192, 2271, False)]
+    for n, m, modified in shapes:
+        params = (ExtractorParams.modified(n, m) if modified
+                  else ExtractorParams.regular(n, m))
         seed = BitString.from_u8(
             rng.integers(0, 2, params.seed_len, dtype=np.uint8))
         x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
         h = SeededHash(params, seed)
         if extract(h, x) != extract_fast(h, x):
             raise AssertionError(f"fast path mismatch at n={n} m={m}")
-    return "fast path: 300 random cases match the reference"
+    return (f"fast path: {len(shapes)} cases (300 random, 2 FFT-sized) "
+            "match the reference")
 
 
 def _selftest_fixtures() -> str:

@@ -16,10 +16,11 @@ Matrix entries for the modified family (K = n - m block columns):
     H[i][j] = s[m - 1 + (j - i)]          for j < K, i < j
 
 `extract` is a straightforward arbitrary-precision implementation used
-as the reference; `extract_fast` computes the same product as a window
-of one convolution in `_kernels` (exact below a size crossover, a
-checked float64 FFT above it). Both return identical bits for identical
-arguments.
+as the reference; `extract_fast` hands the seed's and the input's ints
+to `_kernels`, which computes the same product by whichever of row
+parities, four-Russians column tables or a checked float64 FFT its cost
+model finds cheapest for the shape. Both return identical bits for
+identical arguments.
 """
 
 from __future__ import annotations
@@ -171,15 +172,17 @@ def extract(h: SeededHash, x: BitString) -> BitString:
 
 
 def extract_fast(h: SeededHash, x: BitString) -> BitString:
-    """Hash input bits with the sub-quadratic convolution kernel.
+    """Hash input bits with the fast GF(2) Toeplitz kernel.
 
-    Bit-identical to `extract`; see `_kernels` for the exact and FFT
-    paths and the error bound that makes the FFT path exact.
+    Works on the ints the BitStrings hold, without unpacking them to one
+    byte per bit. Bit-identical to `extract`; see `_kernels` for the
+    exact int forms, the FFT form with the error bound that makes it
+    exact, and the cost model that picks one.
     """
     n = h.params.input_len
     m = h.params.output_len
     if len(x) != n:
         raise ValueError(f"input must be {n} bits, got {len(x)}")
     out = _kernels.matvec_bits(h.params.family is Family.MODIFIED,
-                               h.seed.to_u8(), n, m, x.to_u8())
-    return BitString.from_u8(out)
+                               h.seed.to_int(), n, m, x.to_int())
+    return BitString.from_int(out, m)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qlhl import _kernels
 from qlhl.bits import BitString, read_qbits, write_qbits
 from qlhl.cli import main, parse_eps
 from qlhl.ledger import kv_parse, source_to_kv
@@ -321,3 +322,19 @@ def test_unknown_arguments_exit_one(capsys):
     assert main(["bound", "qlhl", "--hmin", "100"]) == 1   # missing --eps
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_selftest_passes_and_reaches_the_fft(monkeypatch, capsys):
+    sizes = []
+    original = _kernels._fft_convolve
+
+    def spy(a, x, size):
+        sizes.append(size)
+        return original(a, x, size)
+
+    monkeypatch.setattr(_kernels, "_fft_convolve", spy)
+    assert main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("ok: ") for line in lines)
+    assert len(sizes) >= 2

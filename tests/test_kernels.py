@@ -1,5 +1,7 @@
 """Tests for the GF(2) Toeplitz and chained-MAC kernels."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,22 @@ def _spy_fft(monkeypatch, shift=0.0):
     return calls
 
 
+def _spy_forms(monkeypatch):
+    """Record each block-product form that runs: rows, columns<w> or fft."""
+    ran = []
+
+    def spy(name, form):
+        def wrapper(*args, **kwargs):
+            ran.append(name + str(kwargs.get("w", "")))
+            return form(*args, **kwargs)
+        return wrapper
+
+    for name in ("rows", "columns", "fft"):
+        monkeypatch.setattr(_kernels, "_" + name,
+                            spy(name, getattr(_kernels, "_" + name)))
+    return ran
+
+
 def test_numpy_backend_matches_reference_extract():
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -52,32 +70,45 @@ def test_numpy_backend_matches_reference_extract():
             extract(h, BitString.from_u8(x))
 
 
+_FORMS = {
+    "rows": _kernels._rows,
+    "columns4": functools.partial(_kernels._columns, w=4),
+    "columns8": functools.partial(_kernels._columns, w=8),
+    "fft": _kernels._fft,
+}
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_prop_edge_shapes_match_reference_on_both_paths(data):
-    # K = n - m of 0, 1 and 2, m = 1 and m = n, with n drawn freely so
-    # that most lengths are not powers of two; the crossover is pinned
-    # to force each path in turn
+    # each form of the block product is called directly on the operands:
+    # K = n - m of 0, 1, 2, 8 and 9 (K and K - 1 on and off byte
+    # boundaries), m = 1 and m = n, with n drawn freely so that most
+    # lengths are not multiples of 8
     family = data.draw(st.sampled_from(Family))
     n = data.draw(st.integers(1, 300))
-    m = data.draw(st.sampled_from(
-        [n, max(1, n - 1), max(1, n - 2), 1, (n + 1) // 2]))
+    m = max(1, data.draw(st.sampled_from(
+        [n, n - 1, n - 2, n - 8, n - 9, 1, (n + 1) // 2])))
     h = _seeded_hash(family, n, m,
                      np.random.default_rng(data.draw(st.integers(0, 2**32))))
     x = BitString.from_u8(np.random.default_rng(
         data.draw(st.integers(0, 2**32))).integers(0, 2, n, dtype=np.uint8))
     want = extract(h, x)
-    for work_per_point in (0, 10**9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "_EXACT_WORK_PER_FFT_POINT", work_per_point)
-            assert extract_fast(h, x) == want
+    assert extract_fast(h, x) == want
+    d, xr, k, tail = _kernels._operands(family is Family.MODIFIED,
+                                        h.seed.to_int(), n, m, x.to_int())
+    if k == 0:
+        assert tail == want.to_int()
+        return
+    for name, form in _FORMS.items():
+        assert form(d, xr, k, m) ^ tail == want.to_int(), name
 
 
 @pytest.mark.parametrize("family, n, m, fft", [
     (Family.MODIFIED, 32768, 15492, True),   # pa_bulk, 32 kbit
     (Family.MODIFIED, 4096, 411, True),
     (Family.REGULAR, 8192, 2271, True),
-    (Family.MODIFIED, 2106, 1020, True),
+    (Family.MODIFIED, 2106, 1020, False),
     (Family.MODIFIED, 2092, 702, False),
     (Family.MODIFIED, 16384, 64, False),     # one-shot MAC tag
     (Family.MODIFIED, 5888, 5826, False),    # narrow block
@@ -91,6 +122,22 @@ def test_shapes_either_side_of_crossover_match_reference(
     calls = _spy_fft(monkeypatch)
     assert extract_fast(h, x) == extract(h, x)
     assert bool(calls) == fft
+
+
+@pytest.mark.parametrize("family, n, m, form", [
+    (Family.MODIFIED, 5888, 5826, "columns4"),   # keymix, narrow block
+    (Family.MODIFIED, 7112, 4986, "columns8"),   # handshake stage
+    (Family.MODIFIED, 16384, 64, "rows"),        # one-shot MAC tag
+    (Family.MODIFIED, 32768, 15492, "fft"),      # pa_bulk, 32 kbit
+    (Family.REGULAR, 8192, 2271, "fft"),
+])
+def test_workload_shapes_take_their_form(monkeypatch, family, n, m, form):
+    rng = np.random.default_rng(n - m)
+    h = _seeded_hash(family, n, m, rng)
+    x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
+    ran = _spy_forms(monkeypatch)
+    assert extract_fast(h, x) == extract(h, x)
+    assert ran == [form]
 
 
 def _toeplitz_row(params, seed_u8, i):
@@ -124,15 +171,18 @@ def test_large_block_rows_match_direct_dot_product(family, m):
 @pytest.mark.parametrize("shift", [0.4, 0.6])
 def test_fft_precision_loss_falls_back_to_exact_path(monkeypatch, shift):
     # coefficients pushed 0.4 or 0.6 off their integers fail the rounding
-    # guard; unguarded, a 0.6 shift would round every coefficient up
+    # guard, and the block is recomputed by the cheapest exact int form;
+    # unguarded, a 0.6 shift would round every coefficient up
     calls = _spy_fft(monkeypatch, shift)
+    ran = _spy_forms(monkeypatch)
     rng = np.random.default_rng(21)
-    for family, n, m in ((Family.MODIFIED, 8192, 3000),
-                         (Family.REGULAR, 4096, 1500)):
+    for family, n, m in ((Family.MODIFIED, 16384, 3308),
+                         (Family.REGULAR, 8192, 2271)):
         h = _seeded_hash(family, n, m, rng)
         x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
         assert extract_fast(h, x) == extract(h, x)
     assert len(calls) == 2
+    assert ran == ["fft", "columns8"] * 2
 
 
 def _chained_reference(rows, blocks, t, taps):
