@@ -56,26 +56,43 @@ parity _ROW_US + _ROW_US_PER_BIT * L, and an FFT of N points _FFT_US +
 _FFT_US_PER_POINT_LOG * N * log2 N. On that host narrow blocks
 (K = 62, m = 5,186) take about 15 us in 4-bit columns against 290 us in
 the FFT, a 64-bit tag of 16 kbit about 0.2 ms in rows, and blocks of
-16 kbit and more with K in the thousands the FFT.
+16 kbit and more with K in the thousands the FFT. The ranking is cached
+per (K, m) for the last _FORM_CACHE_SHAPES shapes.
 
-Chained MAC. Hash rows and message blocks arrive as 0/1 uint8 matrices
-of shape (t, b) and (nblocks, b). Column j of the rows is read as a t-bit
-int (row i at bit i), and for each byte k of a block a 256-entry table
-holds, at index v, the xor of the columns 8k + p whose bit p is set in
-v: the LSB-first order of np.packbits(..., bitorder="little"). A block's
-product with the rows is then the xor over its packed bytes of one table
-entry each. The tables take 2 KB per byte of block width (about 100 KB
-for a 512-bit key); building them costs 8 doubling steps, and blocks are
-packed and looked up a fixed chunk at a time, so the other temporaries
-stay bounded by the chunk whatever the message length. The per-block
-t-bit results then pass through the Galois state update in a short
-Python loop.
+Chained MAC. The t x b hash rows arrive as their b columns, each a t-bit
+int with row i at bit i (a uint64 array), and the message blocks as a
+0/1 uint8 matrix of shape (nblocks, b). For each byte k of a block a
+256-entry table holds, at index v, the xor of the columns 8k + p whose
+bit p is set in v: the LSB-first order of np.packbits(...,
+bitorder="little"). The tables are built from two 16-entry nibble tables
+per byte, joined by one broadcast xor; they take 2 KB per byte of block
+width (about 100 KB for a 512-bit key). A block's product with the rows
+is the xor over its packed bytes of one table entry each, gathered a
+fixed chunk of blocks at a time into one uint64 array of products.
+
+The products are then folded into the state without a loop per block.
+With p = x**t + taps, one Galois step is multiplication by x mod p, so
+after N blocks the state is
+
+    state = sum over k of x**(N - 1 - k) * product_k  mod p.
+
+The fold takes up to _MAC_FOLD_BLOCKS products at a time; the state
+left by the previous step enters as one extra product in front. The
+values are padded at the front to a multiple of 64 and read as rows of
+64: slot g of a row needs x**(63 - g), which splits into a low word
+(value << (63 - g)) and a carry word (value >> (g + 1), 0 for g = 63).
+Xoring each row's low words and carry words gives the polynomial P as
+rows + 1 big-endian words, and P mod p is the xor of r[e] = x**e mod p
+over the bits e set in P. The table r depends only on (t, taps) and the
+fold step, not on the message length, and is kept for the last
+_MAC_POWER_TABLES pairs. No Python runs per block: a call makes a few
+numpy calls per gather chunk and per fold step, and its temporaries are
+bounded by those chunks whatever the message length.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
@@ -86,8 +103,18 @@ HAS_NUMBA = False
 _ROUNDING_GUARD = 0.25
 # message blocks packed and looked up per step of the chained MAC
 _MAC_CHUNK_BLOCKS = 256
+# block products folded into the chained-MAC state per step
+_MAC_FOLD_BLOCKS = 4096
+# (t, taps) pairs whose powers of x the chained MAC keeps, 33 KB each
+_MAC_POWER_TABLES = 8
+# fold shifts of slot g of a 64-value row: the low word left by 63 - g,
+# the carry word right by g + 1 (numpy shifts uint64 by 64 to 0)
+_FOLD_LEFT = np.arange(63, -1, -1, dtype=np.uint64)
+_FOLD_RIGHT = np.arange(1, 65, dtype=np.uint64)
 # column-table widths in bits: 4 and 8 read xr a nibble or a byte a time
 _TABLE_WIDTHS = (4, 8)
+# (k, m) block shapes whose ranking of forms is kept
+_FORM_CACHE_SHAPES = 1024
 # cost model in microseconds, see the module docstring
 _INT_OP_US = 0.074
 _INT_OP_US_PER_BIT = 0.000035
@@ -182,18 +209,22 @@ def _fft_size(length: int) -> int:
     return 1 << (length - 1).bit_length()
 
 
-def _forms(k: int, m: int) -> list:
-    """(estimated microseconds, form) of every form, cheapest first."""
+@functools.lru_cache(maxsize=_FORM_CACHE_SHAPES)
+def _forms(k: int, m: int) -> tuple:
+    """(name, table width or 0) of every form, cheapest first.
+
+    The ranking is cached per (k, m); it holds names rather than the
+    functions, which are looked up on the module when they run.
+    """
     length = k + m - 1
     op = _INT_OP_US + _INT_OP_US_PER_BIT * length
     size = _fft_size(length)
-    forms = [(m * (_ROW_US + _ROW_US_PER_BIT * length), _rows),
-             (_FFT_US + _FFT_US_PER_POINT_LOG * size * (size.bit_length() - 1),
-              _fft)]
+    costs = {("_rows", 0): m * (_ROW_US + _ROW_US_PER_BIT * length),
+             ("_fft", 0): _FFT_US + _FFT_US_PER_POINT_LOG * size
+             * (size.bit_length() - 1)}
     for w in _TABLE_WIDTHS:
-        forms.append((((1 << w) + 2 * -(-k // w)) * op,
-                      functools.partial(_columns, w=w)))
-    return sorted(forms, key=operator.itemgetter(0))
+        costs["_columns", w] = ((1 << w) + 2 * -(-k // w)) * op
+    return tuple(sorted(costs, key=costs.get))
 
 
 def _block_product(d: int, xr: int, k: int, m: int) -> int:
@@ -202,8 +233,9 @@ def _block_product(d: int, xr: int, k: int, m: int) -> int:
     Forms run cheapest first until one returns; only the FFT can decline,
     when its rounding guard fails.
     """
-    for _, form in _forms(k, m):
-        y = form(d, xr, k, m)
+    for name, w in _forms(k, m):
+        form = globals()[name]
+        y = form(d, xr, k, m, w=w) if w else form(d, xr, k, m)
         if y is not None:
             return y
 
@@ -227,37 +259,93 @@ def matvec_bits(modified: bool, seed: int, n: int, m: int, x: int) -> int:
     return _block_product(d, xr, k, m) ^ tail
 
 
-def _byte_tables(rows: np.ndarray) -> np.ndarray:
-    """Per-byte lookup tables of the t x b hash rows, as (nbytes, 256) uint64.
+def _byte_tables(columns: np.ndarray) -> np.ndarray:
+    """Per-byte lookup tables of the hash columns, as (nbytes * 256,) uint64.
 
-    Entry [k, v] is the GF(2) sum of the t-bit columns 8k + p (row i at
-    bit i) over the bits p set in v, LSB first.
+    Entry [256 k + v] is the GF(2) sum of columns 8k + p over the bits p
+    set in v, LSB first.
     """
-    t, b = rows.shape
+    b = columns.size
     nbytes = (b + 7) // 8
-    cols = np.zeros((nbytes * 8, 8), dtype=np.uint8)
-    cols[:b, :(t + 7) // 8] = np.packbits(rows.T, axis=1, bitorder="little")
-    cols = cols.view("<u8").reshape(nbytes, 8)
-    tab = np.zeros((nbytes, 1), dtype=np.uint64)
-    for p in range(8):
-        # doubling: the indices with bit p set add column 8k + p
-        tab = np.concatenate([tab, tab ^ cols[:, p:p + 1]], axis=1)
-    return tab
+    cols = np.zeros(8 * nbytes, dtype=np.uint64)
+    cols[:b] = columns
+    # nibble tables, entry u on axis 0: nib[u, 2k + h] sums column
+    # 8k + 4h + q over the bits q set in u, built by 4 doubling steps
+    quads = cols.reshape(2 * nbytes, 4).T
+    nib = np.zeros((16, 2 * nbytes), dtype=np.uint64)
+    for q in range(4):
+        np.bitwise_xor(nib[:1 << q], quads[q], out=nib[1 << q:2 << q])
+    # entry v = 16 * high + low of byte k joins its two nibble tables
+    low, high = nib[:, 0::2].T, nib[:, 1::2].T
+    return (high[:, :, None] ^ low[:, None, :]).ravel()
 
 
-def _block_products(rows: np.ndarray, blocks: np.ndarray):
-    """Yield, per block, rows * block over GF(2) as an int (row i at bit i)."""
-    tab = _byte_tables(rows)
-    # packed byte k of a block indexes table k of the flattened tables
-    base = np.arange(0, tab.size, 256)
-    flat = tab.ravel()
+def _block_products(columns: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Every block's product with the hash rows, as (nblocks,) uint64."""
+    tab = _byte_tables(columns)
+    # packed byte k of a block indexes table k of the flattened tables;
+    # the narrowest index type makes the sum and the lookup cheapest
+    base = np.arange(0, tab.size, 256, dtype=np.min_scalar_type(tab.size))
+    products = np.empty(blocks.shape[0], dtype=np.uint64)
     for start in range(0, blocks.shape[0], _MAC_CHUNK_BLOCKS):
-        packed = np.packbits(blocks[start:start + _MAC_CHUNK_BLOCKS],
-                             axis=1, bitorder="little")
-        yield from np.bitwise_xor.reduce(flat[base + packed], axis=1).tolist()
+        stop = start + _MAC_CHUNK_BLOCKS
+        packed = np.packbits(blocks[start:stop], axis=1, bitorder="little")
+        # every index is in range, and "clip" skips numpy's bounds check
+        np.bitwise_xor.reduce(tab.take(packed + base, mode="clip"), axis=1,
+                              out=products[start:stop])
+    return products
 
 
-def chained_mac(rows: np.ndarray, blocks: np.ndarray,
+def _fold_words(values: int) -> int:
+    """64-value rows that hold `values` after front padding."""
+    return -(-values // 64)
+
+
+@functools.lru_cache(maxsize=_MAC_POWER_TABLES)
+def _powers_of_x(t: int, taps: int) -> np.ndarray:
+    """x**e mod (x**t + taps) for e from high to low, enough for one fold.
+
+    Entry i is x**(size - 1 - i): the order of the bits of a big-endian
+    word array, whose last bit is e = 0.
+    """
+    size = 64 * (_fold_words(_MAC_FOLD_BLOCKS + 1) + 1)
+    mask, poly = (1 << t) - 1, (1 << t) | taps
+    powers, v = [], 1
+    for _ in range(size):
+        powers.append(v)
+        v <<= 1
+        if v > mask:
+            v ^= poly
+    table = np.array(powers[::-1], dtype=np.uint64)
+    table.flags.writeable = False
+    return table
+
+
+def _fold(products: np.ndarray, t: int, taps: int) -> int:
+    """sum over k of x**(N - 1 - k) * products[k] mod x**t + taps."""
+    powers = _powers_of_x(t, taps)
+    state = 0
+    for start in range(0, products.size, _MAC_FOLD_BLOCKS):
+        chunk = products[start:start + _MAC_FOLD_BLOCKS]
+        # the state so far enters as one more value in front of the chunk
+        words = _fold_words(chunk.size + (state != 0))
+        values = np.zeros(64 * words, dtype=np.uint64)
+        values[values.size - chunk.size:] = chunk
+        if state:
+            values[-chunk.size - 1] = state
+        values = values.reshape(words, 64)
+        # P as big-endian words: the carry word of row w lands one word
+        # above its low word
+        poly = np.zeros(words + 1, dtype=np.uint64)
+        poly[:words] = np.bitwise_xor.reduce(values >> _FOLD_RIGHT, axis=1)
+        poly[1:] ^= np.bitwise_xor.reduce(values << _FOLD_LEFT, axis=1)
+        bits = np.unpackbits(poly.astype(">u8").view(np.uint8))
+        state = int(np.bitwise_xor.reduce(powers[powers.size - bits.size:]
+                                          * bits))
+    return state
+
+
+def chained_mac(columns: np.ndarray, blocks: np.ndarray,
                 t: int, taps: int) -> int:
     """Run the chained compression over message blocks.
 
@@ -269,8 +357,13 @@ def chained_mac(rows: np.ndarray, blocks: np.ndarray,
     any block survives to the final state unless the hash rows themselves
     annihilate it.
 
+    The steps are not run one by one: every block's product is gathered
+    into one array, which is folded by powers of x as in the module
+    docstring, so no Python runs per block.
+
     Args:
-        rows: (t, b) 0/1 uint8 hash rows over the block columns.
+        columns: (b,) uint64, column j of the t x b hash rows as a t-bit
+            int with row i at bit i.
         blocks: (nblocks, b) 0/1 uint8 data blocks.
         t: state width in bits, at most 64.
         taps: feedback bit mask, bit i for the x**i coefficient.
@@ -280,12 +373,7 @@ def chained_mac(rows: np.ndarray, blocks: np.ndarray,
     """
     if not 0 < t <= 64:
         raise ValueError("state width must be 1..64 bits")
-    mask = (1 << t) - 1
-    # x**t + taps: clears the bit the shift carried out and feeds it back
-    poly = (1 << t) | taps
-    state = 0
-    for mixed in _block_products(rows, blocks):
-        state = (state << 1) ^ mixed
-        if state > mask:
-            state ^= poly
-    return state
+    if blocks.shape[1] != columns.size:
+        raise ValueError(f"blocks of {blocks.shape[1]} bits do not match "
+                         f"{columns.size} hash columns")
+    return _fold(_block_products(columns, blocks), t, taps)

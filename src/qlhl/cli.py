@@ -32,7 +32,8 @@ from .combiner import (CombineMode, CombineRequest, combine_private,
 from .handshake import (BudgetExceeded, OUTCOME_ABORT, OUTCOME_SUCCESS,
                         budget, dump_transcript, its_mac_auth,
                         its_mac_verify, make_configs, run_handshake,
-                        split_mac_key)
+                        split_mac_key, transcript_mac, transcript_mac_verify)
+from .handshake.mac import _GALOIS_TAPS, transcript_mac_block_bits
 from .handshake.schedule import KEY_NAMES
 from .ledger import SecurityLevel, kv_format, kv_parse, source_from_kv
 from .oracles import (collision_probability, matrix_rank_gf2,
@@ -426,6 +427,43 @@ def _selftest_mac() -> str:
     return "one-shot MAC: forgery rate exactly 2^-2 over all 128 keys"
 
 
+def _selftest_chained_mac() -> str:
+    rng = np.random.default_rng(20240818)
+    n, t = 48, 16
+    b = transcript_mac_block_bits(n, t)
+    fk = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
+    message = rng.integers(0, 256, 13000, dtype=np.uint8).tobytes()
+    # bit-level model: the hash rows and the blocks of the framed stream
+    # as ints, one Galois step and one parity per row for each block
+    mat = hash_matrix(SeededHash(ExtractorParams.modified(b + t, t),
+                                 fk[:n - t]))[:, :b]
+    rows = [int("".join(map(str, row)), 2) for row in mat]
+    framed = (8 * len(message)).to_bytes(8, "big") + message
+    nblocks = -(-8 * len(framed) // b)
+    stream = int.from_bytes(framed, "big") << (nblocks * b - 8 * len(framed))
+    state = 0
+    for k in range(nblocks - 1, -1, -1):
+        block = (stream >> (b * k)) & ((1 << b) - 1)
+        state <<= 1
+        if state >> t:
+            state ^= (1 << t) | _GALOIS_TAPS[t]
+        for i, row in enumerate(rows):
+            state ^= ((row & block).bit_count() & 1) << i
+    want = BitString([(state >> i) & 1 for i in range(t)]) ^ fk[n - t:]
+    if nblocks <= _kernels._MAC_FOLD_BLOCKS:
+        raise AssertionError("chained-MAC case fits in one fold step")
+    tag = transcript_mac(fk, message, t)
+    if tag != want:
+        raise AssertionError(f"chained tag {tag.to01()} != model "
+                             f"{want.to01()} over {nblocks} blocks")
+    tampered = bytearray(message)
+    tampered[-1] ^= 0x10
+    if transcript_mac_verify(fk, bytes(tampered), tag):
+        raise AssertionError("chained MAC accepted a one-bit tamper")
+    return (f"chained MAC: {nblocks}-block tag matches the bit model, "
+            "one-bit tamper rejected")
+
+
 def _selftest_extract_fixture() -> str:
     h = SeededHash(ExtractorParams.modified(3, 2), BitString.from_str("10"))
     got = extract(h, BitString.from_str("110"))
@@ -439,7 +477,7 @@ def _selftest_extract_fixture() -> str:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     suites = [_selftest_extract_fixture, _selftest_universality,
               _selftest_surjectivity, _selftest_fast_path,
-              _selftest_fixtures, _selftest_mac]
+              _selftest_fixtures, _selftest_mac, _selftest_chained_mac]
     results = {}
     failed = 0
     for suite in suites:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import _kernels
 from ..bits import BitString
@@ -120,16 +119,28 @@ def transcript_mac_block_bits(key_len: int, tag_len: int) -> int:
     return b
 
 
-def _toeplitz_rows(seed: np.ndarray, t: int, b: int) -> np.ndarray:
-    """The t x b Toeplitz block of the seeded [T | I] hash on b + t bits.
+def _toeplitz_columns(seed: int, t: int, b: int) -> np.ndarray:
+    """The t x b Toeplitz block of the seeded [T | I] hash on b + t bits,
+    as a (b,) uint64 array of t-bit columns with row i at bit i.
 
-    Entry (i, j) is seed bit i - j on and below the diagonal and
-    t - 1 + j - i above it, so row i is the window of
-    ar = seed[t-1::-1] || seed[t:] that starts at t - 1 - i. Returns a
-    read-only view of ar; the data never reaches the identity columns.
+    `seed` holds the b + t - 1 seed bits as an int, MSB first. Entry
+    (i, j) is seed bit i - j on and below the diagonal and t - 1 + j - i
+    above it, so column j, read from row t - 1 down to row 0, is the
+    window ar[j : j + t] of ar = seed[t-1::-1] || seed[t:].
     """
-    ar = np.concatenate([seed[t - 1::-1], seed[t:]])
-    return sliding_window_view(ar, b)[::-1]
+    width = b + t - 1
+    tail = b - 1
+    ar = (_kernels._reverse(seed >> tail, t) << tail) | (
+        seed & ((1 << tail) - 1))
+    # copy s of ar, shifted left by s bits, holds the window of column
+    # 8k + s in the big-endian word at its byte k
+    nbytes = (b + 7) // 8
+    size = nbytes + 8
+    ar <<= 8 * size - width
+    full = (1 << 8 * size) - 1
+    buf = b"".join(((ar << s) & full).to_bytes(size, "big") for s in range(8))
+    words = np.ndarray((nbytes, 8), ">u8", buf, strides=(1, size))
+    return (words.astype(np.uint64) >> np.uint64(64 - t)).ravel()[:b]
 
 
 def transcript_mac(fk: BitString, message: bytes, tag_len: int) -> BitString:
@@ -148,16 +159,14 @@ def transcript_mac(fk: BitString, message: bytes, tag_len: int) -> BitString:
     if not 1 <= t <= 64:
         raise ValueError("tag length must be 1..64 bits")
     b = transcript_mac_block_bits(n, t)
-    rows = _toeplitz_rows(fk[0:n - t].to_u8(), t, b)
-    pad = fk[n - t:n]
+    columns = _toeplitz_columns(fk.to_int() >> t, t, b)
     framed = (len(message) * 8).to_bytes(8, "big") + message
     nblocks = -(-len(framed) * 8 // b)
     blocks = np.unpackbits(np.frombuffer(framed, dtype=np.uint8),
                            count=nblocks * b).reshape(nblocks, b)
-    state = _kernels.chained_mac(rows, blocks, t, _GALOIS_TAPS[t])
-    shifts = np.arange(t, dtype=np.uint64)
-    tag_u8 = ((np.uint64(state) >> shifts) & np.uint64(1)).astype(np.uint8)
-    return BitString.from_u8(tag_u8) ^ pad
+    state = _kernels.chained_mac(columns, blocks, t, _GALOIS_TAPS[t])
+    # tag bit i is state bit i
+    return BitString.from_int(_kernels._reverse(state, t), t) ^ fk[n - t:n]
 
 
 def transcript_mac_verify(fk: BitString, message: bytes,

@@ -335,6 +335,6 @@ def test_selftest_passes_and_reaches_the_fft(monkeypatch, capsys):
     monkeypatch.setattr(_kernels, "_fft_convolve", spy)
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(line.startswith("ok: ") for line in lines)
     assert len(sizes) >= 2

@@ -140,6 +140,25 @@ def test_workload_shapes_take_their_form(monkeypatch, family, n, m, form):
     assert ran == [form]
 
 
+def test_form_ranking_is_cached_and_bounded(monkeypatch):
+    # a repeated shape still runs its form through the module attribute,
+    # and a stream of new shapes cannot grow the cache past its bound
+    rng = np.random.default_rng(3)
+    h = _seeded_hash(Family.MODIFIED, 600, 500, rng)
+    x = BitString.from_u8(rng.integers(0, 2, 600, dtype=np.uint8))
+    _kernels._forms.cache_clear()
+    assert extract_fast(h, x) == extract(h, x)   # ranks the shape
+    ran = _spy_forms(monkeypatch)
+    for _ in range(3):
+        assert extract_fast(h, x) == extract(h, x)
+    assert len(ran) == 3 and len(set(ran)) == 1
+    assert _kernels._forms.cache_info().hits == 3
+    for m in range(1, _kernels._FORM_CACHE_SHAPES + 50):
+        _kernels._forms(70, m)
+    info = _kernels._forms.cache_info()
+    assert info.currsize == info.maxsize == _kernels._FORM_CACHE_SHAPES
+
+
 def _toeplitz_row(params, seed_u8, i):
     # row i of the hash matrix from the entry formulas in toeplitz's
     # module docstring, without the identity part
@@ -196,19 +215,31 @@ def _chained_reference(rows, blocks, t, taps):
     return state
 
 
+def _columns(rows):
+    # column j of 0/1 rows as a t-bit int, row i at bit i
+    weights = np.left_shift(np.uint64(1),
+                            np.arange(rows.shape[0], dtype=np.uint64))
+    return np.bitwise_or.reduce(rows.T.astype(np.uint64) * weights, axis=1)
+
+
+def _check_chained(rng, nblocks, t, b, taps):
+    rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
+    blocks = rng.integers(0, 2, (nblocks, b), dtype=np.uint8)
+    got = _kernels.chained_mac(_columns(rows), blocks, t, taps)
+    assert got == _chained_reference(rows, blocks, t, taps), (nblocks, t, b)
+
+
 @pytest.mark.parametrize("t", [1, 2, 7, 16, 33, 64])
 def test_chained_mac_matches_bit_model(t):
     # every block width mod 8, widths below one byte, and a random width
     rng = np.random.default_rng(13)
     taps = {1: 0x1, 2: 0x3, 7: 0x3, 16: 0x2d, 33: 0x53, 64: 0x1b}[t]
     for b in [*range(1, 18), int(rng.integers(1, 150))]:
-        rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
-        blocks = rng.integers(0, 2, (5, b), dtype=np.uint8)
-        want = _chained_reference(rows, blocks, t, taps)
-        assert _kernels.chained_mac(rows, blocks, t, taps) == want, b
+        _check_chained(rng, 5, t, b, taps)
 
 
 _CHUNK = _kernels._MAC_CHUNK_BLOCKS
+_FOLD = _kernels._MAC_FOLD_BLOCKS
 
 
 @pytest.mark.parametrize("nblocks, t, b", [
@@ -219,15 +250,68 @@ _CHUNK = _kernels._MAC_CHUNK_BLOCKS
 def test_chained_mac_matches_bit_model_across_chunks(nblocks, t, b):
     rng = np.random.default_rng(nblocks)
     taps = {16: 0x2d, 33: 0x53, 64: 0x1b}[t]
-    rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
-    blocks = rng.integers(0, 2, (nblocks, b), dtype=np.uint8)
-    got = _kernels.chained_mac(rows, blocks, t, taps)
-    assert got == _chained_reference(rows, blocks, t, taps)
+    _check_chained(rng, nblocks, t, b, taps)
+
+
+@pytest.mark.parametrize("nblocks", [
+    0, _FOLD - 1, _FOLD, _FOLD + 1, 2 * _FOLD - 1, 2 * _FOLD + 1,
+    3 * _FOLD + 77,    # the state carries across three fold steps
+])
+@pytest.mark.parametrize("t, taps", [(1, 0x1), (2, 0x3), (13, 0x1b)])
+def test_chained_mac_fold_steps_match_bit_model(nblocks, t, taps):
+    # every gather chunk and fold step boundary, for 1- and 2-bit states
+    # whose values span a fraction of a word
+    _check_chained(np.random.default_rng(nblocks + t), nblocks, t, 9, taps)
+
+
+def test_chained_mac_64_bit_products_with_top_bit_set():
+    # the last slot of a fold row shifts its carry word by 64, which
+    # must give 0; all-ones columns set the top bit of every product
+    rng = np.random.default_rng(64)
+    rows = np.ones((64, 5), dtype=np.uint8)
+    for nblocks in (63, 64, 65, _FOLD + 3):
+        blocks = rng.integers(0, 2, (nblocks, 5), dtype=np.uint8)
+        blocks[:, 0] = 1
+        products = _kernels._block_products(_columns(rows), blocks)
+        assert (products >> np.uint64(63) != 0).any()
+        got = _kernels.chained_mac(_columns(rows), blocks, 64, 0x1b)
+        assert got == _chained_reference(rows, blocks, 64, 0x1b), nblocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 200), st.integers(0, 600),
+       st.integers(0, 2 ** 32))
+def test_prop_chained_mac_matches_bit_model(t, b, nblocks, seed):
+    rng = np.random.default_rng(seed)
+    taps = int(rng.integers(0, 1 << min(t, 62)))
+    _check_chained(rng, nblocks, t, b, taps)
+
+
+def test_chained_mac_power_table_does_not_grow_with_the_message():
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 2, (64, 3), dtype=np.uint8)
+    sizes = []
+    for nblocks in (1, _FOLD + 1, 5 * _FOLD):
+        blocks = rng.integers(0, 2, (nblocks, 3), dtype=np.uint8)
+        _kernels.chained_mac(_columns(rows), blocks, 64, 0x1b)
+        sizes.append(_kernels._powers_of_x(64, 0x1b).size)
+    assert sizes[0] == sizes[1] == sizes[2] < _FOLD + 256
+    for t in range(1, 3 * _kernels._MAC_POWER_TABLES):
+        _kernels._powers_of_x(t, 0x1)
+    info = _kernels._powers_of_x.cache_info()
+    assert info.currsize <= info.maxsize == _kernels._MAC_POWER_TABLES
 
 
 def test_chained_mac_rejects_bad_state_width():
     bits = np.zeros((1, 1), dtype=np.uint8)
+    column = np.zeros(1, dtype=np.uint64)
     with pytest.raises(ValueError):
-        _kernels.chained_mac(bits, bits, 0, 0x1)
+        _kernels.chained_mac(column, bits, 0, 0x1)
     with pytest.raises(ValueError):
-        _kernels.chained_mac(bits, bits, 65, 0x1)
+        _kernels.chained_mac(column, bits, 65, 0x1)
+
+
+def test_chained_mac_rejects_blocks_wider_than_the_columns():
+    bits = np.zeros((1, 9), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        _kernels.chained_mac(np.zeros(8, dtype=np.uint64), bits, 8, 0x1d)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlhl.bits import BitString
-from qlhl.handshake.mac import (_GALOIS_TAPS, MacKey, _toeplitz_rows,
+from qlhl.handshake.mac import (_GALOIS_TAPS, MacKey, _toeplitz_columns,
                                 its_mac_auth, its_mac_verify,
                                 one_shot_key_len, split_mac_key,
                                 transcript_mac,
@@ -181,7 +181,8 @@ def test_seed_rows_match_hash_matrix_block(t):
         seed = BitString.from_u8(rng.integers(0, 2, n - t, dtype=np.uint8))
         want = hash_matrix(SeededHash(ExtractorParams.modified(b + t, t),
                                       seed))[:, :b]
-        got = _toeplitz_rows(seed.to_u8(), t, b)
+        columns = _toeplitz_columns(seed.to_int(), t, b)
+        got = (columns >> np.arange(t, dtype=np.uint64)[:, None]) & 1
         assert got.shape == (t, b) and (got == want).all(), n
 
 
