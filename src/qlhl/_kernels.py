@@ -32,32 +32,97 @@ The block product is computed in one of three forms:
   the thousands, a 256-entry table).
 - FFT: output bit i is the parity of coefficient i of the 'valid'
   convolution window of a, the L diagonals in order (a[t] is bit
-  L - 1 - t of d), with x, the K bits of xr in order. The window is
-  computed from a float64 rfft product of circular size N, the next
-  power of two >= L, costing O(N log N). Terms of the linear convolution
-  at index >= N wrap to index - N <= K - 2, below the window, which
-  starts at K - 1, so N need not cover L + K.
+  L - 1 - t of d), with x, the K bits of xr in order:
+  y[i] = sum over j of a[K - 1 + i - j] * x[j]. It is computed from
+  float64 rfft products of F points, a power of two the cost model
+  chooses. When F >= L, one transform each of a and x and one inverse
+  give the window: terms of the linear convolution at index >= F wrap
+  to index - F <= K - 2, below the window, which starts at K - 1.
+  Otherwise the product is a 2-D overlap-save: the K input bits and the
+  m output rows are cut into nx and ny blocks of c = F / 2. Output
+  block u meets input block v through the 2c - 1 diagonals from
+  K - c + (u - v) * c on (zero outside 0..L - 1), a window that depends
+  only on u - v. Each x block's spectrum X[v] and each window's
+  spectrum W[u - v] is taken once; output block u is the inverse
+  transform of the sum over v of W[u - v] * X[v], read at c - 1 ..
+  2c - 2, above the wrapped terms (index <= c - 3). Blocks of cx bits
+  and cy rows need F >= cx + cy - 1 in general, which both cases meet:
+  the first is the case of one block each way. The whole product takes
+  nx + (nx + ny - 1) + ny transforms and nx * ny spectrum products.
 
-Error bound of the FFT path. Each coefficient c is an integer with
-0 <= c <= min(len a, len x). A float64 FFT convolution has error
-O(u * log2 N * |a|_2 * |x|_2) in every coefficient, u = 2**-53, and
-here |a|_2 * |x|_2 <= sqrt(len a * len x) <= N. For N <= 2**26 that is
-of order 26 * 2**26 * 2**-53 < 2**-22, far below 0.25, so rounding each
-coefficient to the nearest integer recovers it exactly. The bound is
-backed at run time: if any coefficient lies 0.25 or more from its
-nearest integer, the window is recomputed with the cheapest exact form.
+  Memory. The output blocks are swept in order, keeping the nx x
+  spectra and a ring of the nx window spectra that output block u
+  needs, u - nx < u - v <= u, slot (u - v) mod nx. The sum for block u
+  is taken in the slot of window u - nx + 1, which leaves the ring
+  after it. A blocked call holds 2 nx + 1 spectra of F / 2 + 1 complex
+  values and one real array of F points, that is about 32 bytes per
+  input bit plus 32 F bytes, however long the output. These work
+  arrays belong to the calling thread (threading.local) and are reused
+  by its next call, unless together they pass _FFT_KEPT_BYTES, when
+  they are dropped as the call returns. Allocated per call, arrays of
+  128 KiB and more took fresh pages on many calls, depending on what
+  the process had allocated before (the 1 MB of the 32 kbit block's on
+  every one). Products of at most _FFT_FRESH_POINTS points, one block
+  each way, take new arrays of at most 64 KiB, which the heap serves
+  from memory that is likely still cached: kept ones had gone cold
+  between calls in the benchmark loop, and cost the 8 kbit block about
+  15 %. No numpy
+  transform exceeds F points, so numpy's own per-transform scratch of
+  8 F bytes is bounded too.
+
+Error bound of the FFT path. Each coefficient is an integer between 0
+and K. A float64 FFT convolution of w and x has error at most of order
+e * log2 F * |w|_2 * |x|_2 in every coefficient, e = 2**-53. Here a
+coefficient is the inverse transform of a frequency-domain sum of nx
+products. The transforms contribute e * log2 F * sum over v of
+|w_v|_2 * |x_v|_2, and summing the nx products adds at most
+(nx - 1) * e * sum over v of |w_v|_2 * |x_v|_2 (Cauchy-Schwarz and
+Parseval). With 0/1 entries, |w_v|_2 * |x_v|_2 <= sqrt(2c * c), so the
+sum over v is at most sqrt(2) * nx * c < sqrt(2) * (K + F); one block
+each way gives sqrt(L * K) <= F. With K <= 2**26, F <= 2**19 and
+c >= 2**13 (nx <= 2**13 + 1), the error is below
+(19 + 2**13) * 2**-53 * 2**27 < 2**-12, far below 0.25, so rounding
+each coefficient to the nearest integer recovers it exactly. The bound
+is backed at run time: if any coefficient of any output block lies 0.25
+or more from its nearest integer, the whole product is recomputed with
+the cheapest exact form.
 
 Choice of form. A cost model estimates each form's time and the
 cheapest one runs. Its constants are module constants fitted by least
 squares on per-call timings on a 2-vCPU x86 host (CPython 3.11, numpy
 2.4, pocketfft) over L from 256 to 24,000 bits: an int operation over L
-bits costs _INT_OP_US + _INT_OP_US_PER_BIT * L microseconds, a row
-parity _ROW_US + _ROW_US_PER_BIT * L, and an FFT of N points _FFT_US +
-_FFT_US_PER_POINT_LOG * N * log2 N. On that host narrow blocks
+bits costs _INT_OP_US + _INT_OP_US_PER_BIT * L microseconds and a row
+parity _ROW_US + _ROW_US_PER_BIT * L. On that host narrow blocks
 (K = 62, m = 5,186) take about 15 us in 4-bit columns against 290 us in
 the FFT, a 64-bit tag of 16 kbit about 0.2 ms in rows, and blocks of
 16 kbit and more with K in the thousands the FFT. The ranking is cached
 per (K, m) for the last _FORM_CACHE_SHAPES shapes.
+
+The FFT's cost at transform size F is _FFT_US plus, per transform,
+_FFT_US_PER_POINT_LOG * F * log2 F and, per spectrum product beyond
+the first of each output block (which the transform's constant
+covers), _FFT_US_PER_PRODUCT_POINT * F; each constant has one value up
+to _FFT_CACHE_POINTS and a larger one above, where a transform's
+arrays no longer fit the host's caches. A transform of more than
+_FFT_HEAP_POINTS = 2**14 points also costs _FFT_US_PER_FRESH_POINT * F:
+numpy's pocketfft takes 8 F bytes of scratch per transform, and above
+128 KiB, glibc's default mmap threshold, whether those pages are fresh
+on every call depends on what the process allocated before. In the
+benchmark's privacy amplification loop, three 32,768-point transforms
+took 288 page faults on every call, about 0.5 ms of a 1.7 ms product,
+while 16,384-point ones took none. F runs over the powers of two from
+_FFT_HEAP_POINTS, or the one transform of a smaller block, to
+_FFT_MAX_POINTS, and the cheapest F is taken. One transform of at
+most _FFT_HEAP_POINTS points costs _FFT_US + 3 * _FFT_US_PER_POINT_LOG
+* F * log2 F, the single-transform cost fitted with the other forms,
+so the 4-16 kbit privacy amplification blocks keep the form and the
+transform size that fit gives them; the 32 kbit one is cut into
+16,384-point transforms. The other constants were fitted on the same
+host on blocks from (K, m) = (3,111, 5,081) to (1,761,637, 2,433,046)
+with F from 2**11 to 2**23. _FFT_MAX_POINTS bounds memory: a 2**20-bit
+[T | I] block then takes 2**16-point transforms and about 18 MB of
+work arrays, where one 2**20-point transform grew the peak RSS by
+about 37 MB and was no faster.
 
 Chained MAC. The t x b hash rows arrive as their b columns, each a t-bit
 int with row i at bit i (a uint64 array), and the message blocks as a
@@ -93,6 +158,7 @@ bounded by those chunks whatever the message length.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -121,7 +187,23 @@ _INT_OP_US_PER_BIT = 0.000035
 _ROW_US = 0.2
 _ROW_US_PER_BIT = 0.00018
 _FFT_US = 44.0
-_FFT_US_PER_POINT_LOG = 0.003
+# per transform and point * log2(points), and per spectrum product and
+# point, for transforms of up to _FFT_CACHE_POINTS points and above
+_FFT_US_PER_POINT_LOG = (0.001, 0.0013)
+_FFT_US_PER_PRODUCT_POINT = (0.002, 0.006)
+_FFT_CACHE_POINTS = 1 << 16
+# per point of a transform of more than _FFT_HEAP_POINTS points, whose
+# scratch may take fresh pages on every call
+_FFT_US_PER_FRESH_POINT = 0.008
+# transform sizes of the FFT product: from _FFT_HEAP_POINTS (or the one
+# transform of a smaller block) up to _FFT_MAX_POINTS
+_FFT_HEAP_POINTS = 1 << 14
+_FFT_MAX_POINTS = 1 << 19
+# FFT products of transforms up to _FFT_FRESH_POINTS points take new
+# arrays of at most 64 KiB each; a thread keeps the work arrays of
+# larger ones between calls, up to _FFT_KEPT_BYTES in all
+_FFT_FRESH_POINTS = 1 << 13
+_FFT_KEPT_BYTES = 1 << 22
 
 # byte -> byte with its 8 bits in reverse order
 _REVERSE_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -181,32 +263,182 @@ def _columns(d: int, xr: int, k: int, m: int, w: int) -> int:
     return acc & ((1 << m) - 1)
 
 
-def _fft_convolve(a: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
-    """Circular convolution of a and x over `size` points, in float64."""
-    fft = np.fft  # first use imports numpy.fft
-    return fft.irfft(fft.rfft(a, size) * fft.rfft(x, size), size)
+# this thread's work arrays for FFT products of more than
+# _FFT_FRESH_POINTS points, kept from call to call (see _work_arrays)
+_WORK = threading.local()
+
+
+def _work_arrays(points: int, nx: int) -> tuple:
+    """Views (x spectra, ring, product row, real) of this thread's kept
+    arrays for a product of nx input blocks and transforms of
+    F = points.
+
+    They are nx rows of x block spectra, nx rows for the ring of window
+    spectra and a row for one product, each of F // 2 + 1 complex
+    values, and one real array of F values for a transform's input or
+    output. The kept arrays grow when too small.
+    """
+    half = points // 2 + 1
+    rows = 2 * nx + 1
+    spectra = getattr(_WORK, "spectra", None)
+    if spectra is None or spectra.size < rows * half:
+        spectra = _WORK.spectra = np.empty(rows * half, dtype=np.complex128)
+    real = getattr(_WORK, "real", None)
+    if real is None or real.size < points:
+        real = _WORK.real = np.empty(points)
+    spectra = spectra[:rows * half].reshape(rows, half)
+    return spectra[:nx], spectra[nx:2 * nx], spectra[2 * nx], real[:points]
+
+
+def _trim_work() -> None:
+    """Drop this thread's kept work arrays if together they pass
+    _FFT_KEPT_BYTES."""
+    kept = vars(_WORK)
+    if sum(a.nbytes for a in kept.values()) > _FFT_KEPT_BYTES:
+        kept.clear()
+
+
+def _fft_convolve(a: list, x: list, size: int) -> np.ndarray:
+    """Sum over s of the circular convolutions of `size` points whose
+    rfft spectra are a[s] and x[s], in float64.
+
+    One product of at most _FFT_FRESH_POINTS points and its inverse
+    transform are new arrays. Otherwise the sum is taken in a[-1], which
+    it overwrites, and the other products and the inverse use the
+    thread's work arrays.
+    """
+    if len(x) == 1 and size <= _FFT_FRESH_POINTS:
+        return np.fft.irfft(a[0] * x[0], size)
+    _, _, term, real = _work_arrays(size, len(x))
+    acc = a[-1]
+    acc *= x[-1]
+    for s in range(len(x) - 1):
+        np.multiply(a[s], x[s], out=term)
+        acc += term
+    return np.fft.irfft(acc, size, out=real)
+
+
+def _parities(coeffs: np.ndarray) -> bytes | None:
+    """The parities of the rounded coefficients, packed MSB first; None
+    if any coefficient lies _ROUNDING_GUARD or more from an integer."""
+    rounded = np.rint(coeffs)
+    if np.abs(coeffs - rounded).max() >= _ROUNDING_GUARD:
+        return None
+    return np.packbits((rounded.astype(np.int64) & 1).astype(np.uint8)
+                       ).tobytes()
 
 
 def _fft(d: int, xr: int, k: int, m: int) -> int | None:
-    """Block product from a float64 FFT; None if the guard fails."""
+    """Block product from float64 FFTs; None if the guard fails."""
+    fft = np.fft  # first use imports numpy.fft
     length = k + m - 1
+    points = _fft_plan(k, m)[0]
+    # a[t], bit length - 1 - t of d, is bit off + t of d's bytes read
+    # MSB first; x[j], bit j of xr, is bit j of its bytes read LSB first
     nbytes = (length + 7) // 8
-    # a[t] is bit length - 1 - t of d, the diagonals in convolution order
-    a = np.unpackbits(np.frombuffer(d.to_bytes(nbytes, "big"), np.uint8))
-    a = a[8 * nbytes - length:]
+    dbytes = np.frombuffer(d.to_bytes(nbytes, "big"), np.uint8)
+    off = 8 * nbytes - length
     x = np.unpackbits(np.frombuffer(xr.to_bytes((k + 7) // 8, "little"),
                                     np.uint8), count=k, bitorder="little")
-    window = _fft_convolve(a, x, _fft_size(length))[k - 1:length]
-    coeffs = np.rint(window)
-    if np.abs(window - coeffs).max() >= _ROUNDING_GUARD:
+    if length <= points:
+        # one block each way
+        a = np.unpackbits(dbytes)[off:]
+        if points <= _FFT_FRESH_POINTS:
+            spectra = [fft.rfft(a, points)], [fft.rfft(x, points)]
+        else:
+            xs, ring, _, real = _work_arrays(points, 1)
+            real[:length] = a
+            fft.rfft(real[:length], points, out=ring[0])
+            real[:k] = x
+            fft.rfft(real[:k], points, out=xs[0])
+            spectra = ring, xs
+        y = _fft_convolve(*spectra, points)
+        packed = [_parities(y[k - 1:length])]
+        _trim_work()
+    else:
+        packed = _blocked_fft(dbytes, off, x, k, m, points)
+    if None in packed:
         return None
-    bits = (coeffs.astype(np.int64) & 1).astype(np.uint8)
-    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-m % 8)
+    return int.from_bytes(b"".join(packed), "big") >> (-m % 8)
 
 
-def _fft_size(length: int) -> int:
-    """Circular FFT size for L diagonals: the next power of two >= L."""
-    return 1 << (length - 1).bit_length()
+def _blocked_fft(dbytes: np.ndarray, off: int, x: np.ndarray, k: int,
+                 m: int, points: int) -> list:
+    """Packed parities of the output blocks of c = points / 2 rows, up
+    to the first whose guard fails (None), by the 2-D overlap-save in
+    the module docstring."""
+    fft = np.fft
+    length = k + m - 1
+    c = points // 2
+    nx, ny = -(-k // c), -(-m // c)
+    xs, ring, _, real = _work_arrays(points, nx)
+
+    def window(delta):
+        # diagonals base .. base + 2c - 2, which output block u meets
+        # in input block u - delta, into ring slot delta mod nx
+        base = k - c + delta * c
+        lo, hi = max(base, 0), min(base + 2 * c - 1, length)
+        first = off + lo
+        bits = np.unpackbits(dbytes[first // 8:(off + hi + 7) // 8])
+        real[:lo - base] = 0
+        real[lo - base:hi - base] = bits[first % 8:first % 8 + hi - lo]
+        fft.rfft(real[:hi - base], points, out=ring[delta % nx])
+
+    packed = []
+    try:
+        for v in range(nx):
+            block = x[v * c:(v + 1) * c]
+            real[:block.size] = block
+            fft.rfft(real[:block.size], points, out=xs[v])
+        for delta in range(1 - nx, 0):
+            window(delta)
+        for u in range(ny):
+            window(u)
+            # the last window, u - nx + 1, leaves the ring after this
+            # block, so the sum may overwrite it
+            y = _fft_convolve([ring[(u - v) % nx] for v in range(nx)], xs,
+                              points)
+            packed.append(_parities(y[c - 1:c - 1 + min(c, m - u * c)]))
+            if packed[-1] is None:
+                break
+    finally:
+        _trim_work()
+    return packed
+
+
+@functools.lru_cache(maxsize=_FORM_CACHE_SHAPES)
+def _fft_plan(k: int, m: int) -> tuple[int, float]:
+    """(transform size F, modelled microseconds) of the cheapest FFT
+    product of an m x k block.
+
+    F runs over the powers of two from _FFT_HEAP_POINTS to
+    _FFT_MAX_POINTS, stopping at the first one that covers all L
+    diagonals in one transform (one block each way, also when L is below
+    _FFT_HEAP_POINTS); below that one the blocks are squares of F / 2.
+    """
+    length = k + m - 1
+    top = min((length - 1).bit_length(), _FFT_MAX_POINTS.bit_length() - 1)
+    low = min(_FFT_HEAP_POINTS.bit_length() - 1, top)
+    best = None
+    for bits in range(low, top + 1):
+        points = 1 << bits
+        if length <= points:
+            nx = ny = 1
+        else:
+            nx, ny = -(-k // (points // 2)), -(-m // (points // 2))
+        beyond = points > _FFT_CACHE_POINTS
+        # nx spectra of x, nx + ny - 1 of windows and ny inverses (one
+        # of each way for a single block); the first spectrum product of
+        # each inverse is priced with it, the other nx - 1 apart
+        transforms = 3 if nx == ny == 1 else 2 * (nx + ny) - 1
+        per_point = _FFT_US_PER_POINT_LOG[beyond] * bits
+        if points > _FFT_HEAP_POINTS:
+            per_point += _FFT_US_PER_FRESH_POINT
+        cost = (_FFT_US + transforms * per_point * points
+                + (nx - 1) * ny * _FFT_US_PER_PRODUCT_POINT[beyond] * points)
+        if best is None or cost < best[1]:
+            best = points, cost
+    return best
 
 
 @functools.lru_cache(maxsize=_FORM_CACHE_SHAPES)
@@ -218,10 +450,8 @@ def _forms(k: int, m: int) -> tuple:
     """
     length = k + m - 1
     op = _INT_OP_US + _INT_OP_US_PER_BIT * length
-    size = _fft_size(length)
     costs = {("_rows", 0): m * (_ROW_US + _ROW_US_PER_BIT * length),
-             ("_fft", 0): _FFT_US + _FFT_US_PER_POINT_LOG * size
-             * (size.bit_length() - 1)}
+             ("_fft", 0): _fft_plan(k, m)[1]}
     for w in _TABLE_WIDTHS:
         costs["_columns", w] = ((1 << w) + 2 * -(-k // w)) * op
     return tuple(sorted(costs, key=costs.get))

@@ -364,11 +364,12 @@ def _selftest_surjectivity() -> str:
 
 def _selftest_fast_path() -> str:
     rng = np.random.default_rng(20240817)
-    # 300 small random shapes, then one block per family large enough
-    # that the kernel takes its FFT form
+    # 300 small random shapes, then blocks large enough that the kernel
+    # takes its FFT form: one per family, and a 32 kbit privacy
+    # amplification block cut into 16,384-point transforms
     shapes = [(int(n), int(rng.integers(1, n + 1)), trial % 2 == 1)
               for trial, n in enumerate(rng.integers(1, 513, 300))]
-    shapes += [(8192, 3000, True), (8192, 2271, False)]
+    shapes += [(8192, 3000, True), (8192, 2271, False), (32768, 15492, True)]
     for n, m, modified in shapes:
         params = (ExtractorParams.modified(n, m) if modified
                   else ExtractorParams.regular(n, m))
@@ -378,8 +379,8 @@ def _selftest_fast_path() -> str:
         h = SeededHash(params, seed)
         if extract(h, x) != extract_fast(h, x):
             raise AssertionError(f"fast path mismatch at n={n} m={m}")
-    return (f"fast path: {len(shapes)} cases (300 random, 2 FFT-sized) "
-            "match the reference")
+    return (f"fast path: {len(shapes)} cases (300 random, 3 FFT-sized, one "
+            "of them in blocks) match the reference")
 
 
 def _selftest_fixtures() -> str:

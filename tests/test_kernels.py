@@ -1,6 +1,8 @@
 """Tests for the GF(2) Toeplitz and chained-MAC kernels."""
 
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +204,148 @@ def test_fft_precision_loss_falls_back_to_exact_path(monkeypatch, shift):
         assert extract_fast(h, x) == extract(h, x)
     assert len(calls) == 2
     assert ran == ["fft", "columns8"] * 2
+
+
+# block size c of the blocked FFT products forced below: transforms of
+# 2c points, so that shapes around c stay small enough for `extract`
+_C = 32
+
+
+def _force_blocks(monkeypatch):
+    """Run every FFT product with transforms of at most 2 * _C points."""
+    def plan(k, m):
+        return min(2 * _C, 1 << (k + m - 2).bit_length()), 0.0
+
+    monkeypatch.setattr(_kernels, "_fft_plan", plan)
+    # rank the forms afresh, with the FFT first, in a cache of this test's
+    monkeypatch.setattr(_kernels, "_forms",
+                        functools.lru_cache(_kernels._forms.__wrapped__))
+
+
+def _blocked_shapes():
+    # (family, K, m): K and m either side of c and past 2c, K < c < m,
+    # m < c < K and K of 1 and 2; the plain family needs m <= K
+    edges = (_C - 1, _C, _C + 1, 2 * _C + 1)
+    shapes = [(k, m) for k in edges for m in edges]
+    shapes += [(_C // 2, 3 * _C), (3 * _C, _C // 2), (1, 5 * _C + 3),
+               (2, 5 * _C + 3), (1, 1), (2, 1), (2, 2)]
+    return [(family, k, m) for family in Family for k, m in shapes
+            if family is Family.MODIFIED or m <= k]
+
+
+@pytest.mark.parametrize("family, k, m", _blocked_shapes())
+def test_blocked_fft_products_match_reference(monkeypatch, family, k, m):
+    _force_blocks(monkeypatch)
+    n = k + m if family is Family.MODIFIED else k
+    rng = np.random.default_rng([k, m, family is Family.MODIFIED])
+    h = _seeded_hash(family, n, m, rng)
+    x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
+    calls = _spy_fft(monkeypatch)
+    assert extract_fast(h, x) == extract(h, x)
+    if k + m - 1 > 2 * _C:
+        # one inverse transform of 2c points per output block of c rows
+        assert calls == [2 * _C] * -(-m // _C)
+    else:
+        assert len(calls) == 1 and calls[0] >= k + m - 1
+
+
+def test_fft_transform_sizes():
+    # the pa_bulk p50 slot stays one 8,192-point transform; the 32 kbit
+    # block is cut into 16,384-point transforms, below the size whose
+    # scratch takes fresh pages, and a 2**20-bit [T | I] block into
+    # transforms far smaller than its L
+    assert _kernels._fft_plan(3111, 5081)[0] == 8192
+    assert _kernels._fft_plan(17276, 15492)[0] == _kernels._FFT_HEAP_POINTS
+    k, m = 440409, 608167
+    assert _kernels._fft_plan(k, m)[0] <= _kernels._FFT_MAX_POINTS < k + m
+
+
+@pytest.mark.parametrize("shift", [0.4, 0.6])
+def test_blocked_fft_precision_loss_falls_back_to_exact_path(monkeypatch,
+                                                            shift):
+    # the guard fails on the first output block of the 32 kbit block,
+    # cut into 16,384-point transforms, and the exact form recomputes it
+    calls = _spy_fft(monkeypatch, shift)
+    ran = _spy_forms(monkeypatch)
+    rng = np.random.default_rng(22)
+    h = _seeded_hash(Family.MODIFIED, 32768, 15492, rng)
+    x = BitString.from_u8(rng.integers(0, 2, 32768, dtype=np.uint8))
+    assert extract_fast(h, x) == extract(h, x)
+    assert calls == [16384]
+    assert ran == ["fft", "columns8"]
+
+
+def _random_operands(rng, k, m):
+    # random diagonals d of L = k + m - 1 bits and input xr of k bits
+    def bits(n):
+        return int.from_bytes(rng.bytes((n + 7) // 8), "big") >> (-n % 8)
+    return bits(k + m - 1), bits(k)
+
+
+def test_fft_products_in_threads_match_exact_form():
+    # each thread keeps its own work arrays: four threads computing
+    # one-transform and blocked products at once, with the interpreter
+    # switching threads as often as it can, all match the exact form
+    rng = np.random.default_rng(31)
+    cases = []
+    for k, m in ((3111, 5081), (17276, 15492), (20000, 20000)):
+        d, xr = _random_operands(rng, k, m)
+        cases.append((d, xr, k, m, _kernels._columns(d, xr, k, m, w=8)))
+    mismatches, done = [], []
+
+    def work(order):
+        for i in order * 3:
+            d, xr, k, m, want = cases[i]
+            if _kernels._fft(d, xr, k, m) != want:
+                mismatches.append((k, m))
+        done.append(order)
+
+    threads = [threading.Thread(target=work, args=(order,))
+               for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 4 and not mismatches
+
+
+def test_fft_work_arrays_are_reused_and_bounded(monkeypatch):
+    # a thread keeps the work arrays of blocked products while they fit
+    # the bound, reuses them for a repeated shape, leaves them to
+    # one-transform products, which take new arrays, and drops them
+    # after a product whose arrays pass the bound
+    monkeypatch.setattr(_kernels, "_FFT_KEPT_BYTES", 1 << 21)
+    work = vars(_kernels._WORK)   # this thread's kept arrays
+    work.clear()
+    rng = np.random.default_rng(32)
+    kept = []
+    for k, m in ((3111, 5081), (17276, 15492), (17276, 15492), (300, 900),
+                 (60000, 40000), (20000, 20000), (13076, 3308),
+                 (150000, 60000)):
+        d, xr = _random_operands(rng, k, m)
+        spectra = work.get("spectra")
+        assert _kernels._fft(d, xr, k, m) == _kernels._columns(d, xr, k, m,
+                                                                w=8)
+        size = sum(a.nbytes for a in work.values())
+        assert size <= _kernels._FFT_KEPT_BYTES
+        kept.append((size > 0,
+                     spectra is not None and work.get("spectra") is spectra))
+    assert kept == [
+        (False, False),   # one 8,192-point transform: new arrays
+        (True, False),    # the 32 kbit block in 16,384-point transforms
+        (True, True),     # the same shape again reuses them
+        (True, True),     # one 2,048-point transform leaves them alone
+        (False, False),   # a 100 kbit block passes the bound: dropped
+        (True, False),    # a 40 kbit block keeps new ones
+        (True, True),     # one 16,384-point transform reuses them
+        (False, False),   # a 210 kbit block passes the bound: dropped
+    ]
 
 
 def _chained_reference(rows, blocks, t, taps):

@@ -1,9 +1,13 @@
 """Tests for one-shot and chained one-time authentication."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from qlhl.bits import BitString
+from qlhl.handshake import mac
 from qlhl.handshake.mac import (_GALOIS_TAPS, MacKey, _toeplitz_columns,
                                 its_mac_auth, its_mac_verify,
                                 one_shot_key_len, split_mac_key,
@@ -233,3 +237,69 @@ def test_chained_mac_single_bit_deltas_rarely_collide():
         if transcript_mac(fk, bytes(tampered), 16) == tag:
             collisions += 1
     assert collisions == 0
+
+
+def _unpacked_blocks(framed, b):
+    # the block matrix as one unpack of the whole framed stream
+    nblocks = -(-len(framed) * 8 // b)
+    return np.unpackbits(np.frombuffer(framed, dtype=np.uint8),
+                         count=nblocks * b).reshape(nblocks, b)
+
+
+def test_message_blocks_match_one_unpack_across_chunks():
+    # framed lengths on either side of the unpack step, after a longer
+    # all-ones message has filled the kept array, so that stale bits
+    # would show in the zero padding
+    rng = np.random.default_rng(48)
+    chunk = mac._UNPACK_CHUNK_BYTES
+    mac._message_blocks(b"\xff" * (3 * chunk), 7)
+    for size in (1, 8, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        framed = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        for b in (1, 7, 385, 1000):
+            got = mac._message_blocks(framed, b)
+            assert np.array_equal(got, _unpacked_blocks(framed, b)), (size, b)
+
+
+def test_message_blocks_are_kept_and_bounded(monkeypatch):
+    # a thread reuses its block matrix, and a matrix above the bound is
+    # made for its call alone
+    monkeypatch.setattr(mac, "_BLOCKS_KEPT_BYTES", 1 << 16)
+    vars(mac._BLOCKS).clear()
+    first = mac._message_blocks(bytes(1000), 385)
+    assert np.shares_memory(first, mac._message_blocks(bytes(900), 385))
+    big = mac._message_blocks(bytes(10000), 385)   # 80 KB of bits
+    assert not np.shares_memory(big, first)
+    assert np.shares_memory(first, mac._message_blocks(bytes(900), 385))
+    assert mac._BLOCKS.bits.nbytes <= 1 << 16
+
+
+def test_transcript_mac_in_threads_matches_one_thread():
+    # each thread keeps its own block matrix: four threads tagging
+    # messages of several unpack steps at once, with the interpreter
+    # switching threads as often as it can, give the one-thread tags
+    rng = np.random.default_rng(49)
+    fk = BitString.from_u8(rng.integers(0, 2, 512, dtype=np.uint8))
+    messages = [rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+                for size in (17000, 33000, 40001)]
+    want = [transcript_mac(fk, msg, 64) for msg in messages]
+    mismatches, done = [], []
+
+    def work(order):
+        for i in order * 3:
+            if transcript_mac(fk, messages[i], 64) != want[i]:
+                mismatches.append(i)
+        done.append(order)
+
+    threads = [threading.Thread(target=work, args=(order,))
+               for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 4 and not mismatches
