@@ -16,6 +16,9 @@ encryption of x under pad segment P):
     m8  R -> I   {RF}_RAHTS            RF tags m1..m7 under fk_R
                    stage 4: IATS || RATS || SecState'
 
+_STEPS below is this flow as a table: the sender of each message and the
+one step that builds it and the one that checks it, for either role.
+
 Each stage i hashes (keys || label || transcript-core-so-far) with the
 public seed s_i carried on the wire. The transcript fed to a stage is
 the "core" form (seed fields emptied) so seed lengths are computable
@@ -48,8 +51,8 @@ from .mac import transcript_mac
 from .providers import (KemKeyPair, MockKem, MockQkdStore, UnknownQkdIdError,
                         prf_expand)
 from .schedule import ScheduleParams, budget, schedule_stage
-from .wire import WireError, core_of_wire, encode_message, decode_message, \
-    field_to_bits
+from .wire import SEED_FIELD_INDEX, WireError, core_of_wire, \
+    encode_message, decode_message, field_to_bits
 
 # domain-separation constants: 1..8, each 8 ASCII bytes = 64 bits
 LABELS = {i: f"QLHL/L{i}".encode() + b"\0" for i in range(1, 9)}
@@ -57,10 +60,17 @@ LABELS = {i: f"QLHL/L{i}".encode() + b"\0" for i in range(1, 9)}
 NONCE_BYTES = 4
 QKD_ID_BYTES = 8
 
-# who consumes each message
-RECEIVER = {1: "responder", 2: "initiator", 3: "initiator",
-            4: "responder", 5: "responder", 6: "initiator",
-            7: "responder", 8: "initiator"}
+# message index -> stage whose seed it carries (seeds go out in stage order)
+_SEED_STAGE = {index: stage
+               for stage, index in enumerate(sorted(SEED_FIELD_INDEX), 1)}
+
+# stage -> (label index, PRF key derived here and its label index, chain
+# key read, output names); stage 1 reads the pre-shared block instead of
+# a chain key and also derives k_SecState from the previous session state
+_STAGES = {1: (3, ("k_pq", 2), None, ("k1", "IHTS", "RHTS")),
+           2: (5, ("k_pq_I", 4), "k1", ("k2", "IAHTS", "RAHTS")),
+           3: (7, ("k_pq_R", 6), "k2", ("k3", "fk_I", "fk_R")),
+           4: (8, None, "k3", ("IATS", "RATS", "SecStateNext"))}
 
 
 class AbortReason(enum.Enum):
@@ -147,14 +157,12 @@ class TamperSpec:
 class InMemoryChannel:
     """In-order exactly-once delivery with optional fault injection.
 
-    transforms is a list of (message_index, fn) applied to matching
-    messages in flight; tamper is the single-bit-flip convenience.
-    drop_after=k loses every message after the k-th.
+    transforms is a list of (message_index, fn) applied in order to
+    matching messages in flight; run_handshake puts a TamperSpec's flip
+    first. drop_after=k loses every message after the k-th.
     """
 
-    def __init__(self, tamper: Optional[TamperSpec] = None,
-                 transforms=(), drop_after: Optional[int] = None):
-        self.tamper = tamper
+    def __init__(self, transforms=(), drop_after: Optional[int] = None):
         self.transforms = list(transforms)
         self.drop_after = drop_after
         self.log: list = []
@@ -163,8 +171,6 @@ class InMemoryChannel:
         index = len(self.log) + 1
         if self.drop_after is not None and index > self.drop_after:
             raise ChannelClosed(f"transport closed before m{index}")
-        if self.tamper is not None and self.tamper.message_index == index:
-            data = self.tamper.apply(data)
         for msg_index, fn in self.transforms:
             if msg_index == index:
                 data = fn(data)
@@ -185,7 +191,6 @@ class HandshakeConfig:
         n: per-key length in bits for all nine derived keys.
         eps_prime: per-stage extraction failure probability.
         rng_seed: master seed; every random draw derives from it.
-        rng_stream: distinct per party so draws never collide.
         qkd_store: *shared* pre-shared key store.
         long_term: this party's static KEM keypair.
         trusted_certs: *shared* anchor set of certificate blobs.
@@ -198,7 +203,6 @@ class HandshakeConfig:
     n: int
     eps_prime: SecurityLevel
     rng_seed: int
-    rng_stream: int
     qkd_store: MockQkdStore
     long_term: KemKeyPair
     trusted_certs: frozenset
@@ -259,9 +263,10 @@ OUTCOME_ABORT = "Abort"
 
 
 class _Party:
-    """State shared by both roles: transcript, schedule, pads, ledger."""
+    """Either role's transcript, schedule, pads, ledger and steps."""
 
     role = "party"
+    peer = "party"
     rng_offset = 0
 
     def __init__(self, cfg: HandshakeConfig, params: ScheduleParams):
@@ -272,10 +277,38 @@ class _Party:
         self.transcript: list = []       # full wire bytes, own view
         self.core_transcript: list = []  # seed-stripped twins
         self.intermediate: dict = {}
+        self.pads: dict = {}             # pad name -> OneTimePad
+        self.seeds: dict = {}            # stage -> public seed
         self.seed_lens: list = []
         self.eps = cfg.eps_qkd
         self.consumed_qkd = 0
         self.finals: Optional[Finals] = None
+
+    def send(self, index: int) -> bytes:
+        """Build message `index`, record it and return its wire bytes."""
+        _, step, _, args, stage = _STEPS[index]
+        fields = step(self, index, *args)
+        seed_stage = _SEED_STAGE.get(index)
+        if seed_stage is not None:      # sized with the seed field still empty
+            slot = SEED_FIELD_INDEX[index]
+            fields.insert(slot, b"")
+            pending = encode_message(index, fields)
+            nbits = self._seed_len(seed_stage, len(pending))
+            self.seeds[seed_stage] = BitString.from_u8(
+                self.rng.integers(0, 2, size=nbits, dtype=np.uint8))
+            fields[slot] = self.seeds[seed_stage].to_bytes()
+        msg = encode_message(index, fields)
+        self._append(msg)
+        if stage:
+            self._stage(stage)
+        return msg
+
+    def receive(self, index: int, data: bytes) -> None:
+        """Check and record message `index`; aborts on any mismatch."""
+        _, _, step, args, stage = _STEPS[index]
+        step(self, index, data, *args)
+        if stage:
+            self._stage(stage)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -289,10 +322,9 @@ class _Party:
     def _full(self, upto: Optional[int] = None) -> bytes:
         return b"".join(self.transcript[:upto])
 
-    def _core_bits_total(self, pending: int = 0) -> int:
-        return 8 * (sum(len(c) for c in self.core_transcript) + pending)
-
     def _expect(self, data: bytes, msg_type: int, nfields: int) -> list:
+        """Decode a message; nfields counts its fields besides a seed."""
+        nfields += msg_type in SEED_FIELD_INDEX
         try:
             got_type, fields = decode_message(data)
         except WireError as exc:
@@ -306,11 +338,10 @@ class _Party:
                         f"got {len(fields)}")
         return fields
 
-    def _check_bytes(self, data: bytes, size: int, what: str) -> bytes:
+    def _check_bytes(self, data: bytes, size: int, what: str) -> None:
         if len(data) != size:
             self._abort(AbortReason.BAD_MESSAGE,
                         f"{what} must be {size} bytes, got {len(data)}")
-        return data
 
     def _bit_field(self, data: bytes, nbits: int, what: str) -> BitString:
         try:
@@ -321,261 +352,173 @@ class _Party:
     def _rand_bytes(self, size: int) -> bytes:
         return self.rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
 
-    def _rand_bits(self, nbits: int) -> BitString:
-        return BitString.from_u8(
-            self.rng.integers(0, 2, size=nbits, dtype=np.uint8))
+    def _take(self, pad: str, nbits: int) -> BitString:
+        """Carve the next nbits of the named handshake-traffic secret."""
+        if pad not in self.pads:
+            self.pads[pad] = OneTimePad(self.intermediate[pad], pad)
+        return self.pads[pad].take(nbits)
+
+    def _accept(self, index: int, data: bytes, fields: list) -> None:
+        """Record a checked message and read the seed it carries."""
+        self._append(data)
+        stage = _SEED_STAGE.get(index)
+        if stage is not None:
+            self.seeds[stage] = self._bit_field(
+                fields[SEED_FIELD_INDEX[index]], self._seed_len(stage, 0),
+                f"stage-{stage} seed")
 
     # -- schedule ---------------------------------------------------------
 
-    def _run_stage(self, stage: int, keys, label_index: int,
-                   seed: BitString) -> list:
+    def _stage(self, stage: int) -> None:
+        """Run a stage; its PRF key is derived from the KEM secret that the
+        step completing it left in self.shared (and self.k_qkd, stage 1)."""
+        label, derived, chain, names = _STAGES[stage]
+        full = self._full()
+        keys = [self.intermediate[chain]] if chain else []
+        if derived:
+            name, prf_label = derived
+            self.intermediate[name] = prf_expand(
+                self.shared, LABELS[prf_label] + full, self.cfg.n)
+            keys.append(self.intermediate[name])
+        if stage == 1:
+            k_sec = prf_expand(self.cfg.sec_state.to_bytes(),
+                               LABELS[1] + full, self.cfg.n)
+            self.intermediate["k_SecState"] = k_sec
+            keys += [self.k_qkd, k_sec]
         traffic = BitString.from_bytes(b"".join(self.core_transcript))
+        seed = self.seeds[stage]
         outs = schedule_stage(
-            stage, keys, BitString.from_bytes(LABELS[label_index]), traffic,
+            stage, keys, BitString.from_bytes(LABELS[label]), traffic,
             seed, self.params.stage_out_lens(stage), self.cfg.eps_prime)
         self.seed_lens.append(len(seed))
         self.eps = self.eps + self.cfg.eps_seed + self.cfg.eps_prime
-        return outs
+        self.intermediate.update(zip(names, outs))
+        if stage == 4:
+            self.finals = Finals(*outs, self.eps, self.consumed_qkd)
 
-    def _stage1(self, ss_pq: bytes, k_qkd: BitString, s1: BitString) -> None:
-        full = self._full()
+    def _seed_len(self, stage: int, pending: int) -> int:
+        """One bit less than the stage's keys, label and core transcript,
+        with `pending` core bytes not yet appended (and m8's for stage 4)."""
         n = self.cfg.n
-        k_pq = prf_expand(ss_pq, LABELS[2] + full, n)
-        k_sec = prf_expand(self.cfg.sec_state.to_bytes(), LABELS[1] + full, n)
-        k1, ihts, rhts = self._run_stage(1, [k_pq, k_qkd, k_sec], 3, s1)
-        self.intermediate.update(k_pq=k_pq, k_SecState=k_sec, k1=k1,
-                                 IHTS=ihts, RHTS=rhts)
-        self.pad_ihts = OneTimePad(ihts, "IHTS")
-        self.pad_rhts = OneTimePad(rhts, "RHTS")
+        key_bits = {1: n + self.params.qkd_budget + n,
+                    2: self.params.k1 + n,
+                    3: self.params.k2 + n,
+                    4: self.params.k3}[stage]
+        if stage == 4:
+            # m8 = type + payload length + one length-prefixed tag field
+            pending += 5 + 4 + (self.cfg.tag_bits + 7) // 8
+        core_bytes = sum(len(c) for c in self.core_transcript) + pending
+        return key_bits + 64 + 8 * core_bytes - 1       # 64 label bits
 
-    def _stage2(self, ss_i: bytes, s2: BitString) -> None:
-        k_pq_i = prf_expand(ss_i, LABELS[4] + self._full(), self.cfg.n)
-        k2, iahts, rahts = self._run_stage(
-            2, [self.intermediate["k1"], k_pq_i], 5, s2)
-        self.intermediate.update(k_pq_I=k_pq_i, k2=k2, IAHTS=iahts,
-                                 RAHTS=rahts)
-        self.pad_iahts = OneTimePad(iahts, "IAHTS")
-        self.pad_rahts = OneTimePad(rahts, "RAHTS")
+    # -- steps --------------------------------------------------------------
 
-    def _stage3(self, ss_r: bytes, s3: BitString) -> None:
-        k_pq_r = prf_expand(ss_r, LABELS[6] + self._full(), self.cfg.n)
-        k3, fk_i, fk_r = self._run_stage(
-            3, [self.intermediate["k2"], k_pq_r], 7, s3)
-        self.intermediate.update(k_pq_R=k_pq_r, k3=k3, fk_I=fk_i, fk_R=fk_r)
+    def _send_hello(self, index: int) -> list:
+        self.eph = self.kem.keypair()
+        return [self.eph.public_key, self._rand_bytes(NONCE_BYTES)]
 
-    def _stage4(self, s4: BitString) -> Finals:
-        iats, rats, sec_next = self._run_stage(
-            4, [self.intermediate["k3"]], 8, s4)
-        self.intermediate.update(IATS=iats, RATS=rats, SecStateNext=sec_next)
-        self.finals = Finals(iats, rats, sec_next, self.eps,
-                             self.consumed_qkd)
-        return self.finals
+    def _recv_hello(self, index: int, data: bytes) -> None:
+        fields = self._expect(data, index, 2)
+        eph_pk, nonce = fields
+        self._check_bytes(eph_pk, self.cfg.kem_bytes, "ephemeral public key")
+        self._check_bytes(nonce, NONCE_BYTES, "nonce")
+        self._accept(index, data, fields)
+        self.peer_eph_pk = bytes(eph_pk)
 
-    # -- seed sizing --------------------------------------------------------
+    def _send_qkd(self, index: int) -> list:
+        ident, self.k_qkd = self.cfg.qkd_store.next_block()
+        self.consumed_qkd = len(self.k_qkd)
+        c_pq, self.shared = self.kem.encapsulate(self.peer_eph_pk)
+        return [c_pq, ident, self._rand_bytes(NONCE_BYTES)]
 
-    def _seed_len(self, key_bits: int, pending_core: int,
-                  future_core: int = 0) -> int:
-        label_bits = 64
-        return (key_bits + label_bits
-                + self._core_bits_total(pending_core + future_core) - 1)
+    def _recv_qkd(self, index: int, data: bytes) -> None:
+        fields = self._expect(data, index, 3)
+        c_pq, ident, nonce, _ = fields
+        self._check_bytes(c_pq, self.cfg.kem_bytes, "KEM ciphertext")
+        self._check_bytes(ident, QKD_ID_BYTES, "QKD id")
+        self._check_bytes(nonce, NONCE_BYTES, "nonce")
+        try:
+            self.k_qkd = self.cfg.qkd_store.fetch(bytes(ident))
+        except UnknownQkdIdError as exc:
+            self._abort(AbortReason.UNKNOWN_QKD_ID, str(exc))
+        self.consumed_qkd = len(self.k_qkd)
+        self._accept(index, data, fields)
+        self.shared = self.kem.decapsulate(self.eph.secret_key, c_pq)
 
-    def _m8_core_len(self) -> int:
-        # m8 = type + payload length + one length-prefixed tag field
-        return 5 + 4 + (self.cfg.tag_bits + 7) // 8
+    def _send_cert(self, index: int, pad: str) -> list:
+        mask = self._take(pad, 8 * self.cfg.kem_bytes)
+        cert = BitString.from_bytes(self.cfg.long_term.public_key)
+        return [(cert ^ mask).to_bytes()]
 
-    def _stage_key_bits(self, stage: int) -> int:
-        n = self.cfg.n
-        return {1: n + self.params.qkd_budget + n,
-                2: self.params.k1 + n,
-                3: self.params.k2 + n,
-                4: self.params.k3}[stage]
+    def _recv_cert(self, index: int, data: bytes, pad: str) -> None:
+        fields = self._expect(data, index, 1)
+        self._check_bytes(fields[0], self.cfg.kem_bytes, "certificate")
+        self._accept(index, data, fields)
+        mask = self._take(pad, 8 * self.cfg.kem_bytes)
+        cert = (BitString.from_bytes(fields[0]) ^ mask).to_bytes()
+        if cert not in self.cfg.trusted_certs:
+            self._abort(AbortReason.CERT_UNTRUSTED,
+                        f"{self.peer} certificate not in the anchor set")
+        self.peer_cert = cert
+
+    def _send_kem(self, index: int, pad: str) -> list:
+        c, self.shared = self.kem.encapsulate(self.peer_cert)
+        mask = self._take(pad, 8 * self.cfg.kem_bytes)
+        return [(BitString.from_bytes(c) ^ mask).to_bytes()]
+
+    def _recv_kem(self, index: int, data: bytes, pad: str) -> None:
+        fields = self._expect(data, index, 1)
+        self._check_bytes(fields[0], self.cfg.kem_bytes, "KEM ciphertext")
+        self._accept(index, data, fields)
+        mask = self._take(pad, 8 * self.cfg.kem_bytes)
+        c = (BitString.from_bytes(fields[0]) ^ mask).to_bytes()
+        self.shared = self.kem.decapsulate(self.cfg.long_term.secret_key, c)
+
+    def _send_finish(self, index: int, fk: str, pad: str, *_) -> list:
+        t = self.cfg.tag_bits
+        tag = transcript_mac(self.intermediate[fk], self._full(index - 1), t)
+        return [(tag ^ self._take(pad, t)).to_bytes()]
+
+    def _recv_finish(self, index: int, data: bytes, fk: str, pad: str,
+                     reason: AbortReason) -> None:
+        t = self.cfg.tag_bits
+        fields = self._expect(data, index, 1)
+        enc = self._bit_field(fields[0], t, "finish tag")
+        self._accept(index, data, fields)
+        tag = enc ^ self._take(pad, t)
+        want = transcript_mac(self.intermediate[fk], self._full(index - 1), t)
+        if tag != want:
+            self._abort(reason, f"{self.peer} finish tag does not verify")
 
 
 class Initiator(_Party):
     role = "initiator"
+    peer = "responder"
     rng_offset = 1
-
-    def m1(self) -> bytes:
-        self.eph = self.kem.keypair()
-        msg = encode_message(1, [self.eph.public_key,
-                                 self._rand_bytes(NONCE_BYTES)])
-        self._append(msg)
-        return msg
-
-    def on_m2(self, data: bytes) -> None:
-        c_pq, ident, _n_r, seed_field = self._expect(data, 2, 4)
-        self._check_bytes(c_pq, self.cfg.kem_bytes, "KEM ciphertext")
-        self._check_bytes(ident, QKD_ID_BYTES, "QKD id")
-        self._check_bytes(_n_r, NONCE_BYTES, "nonce")
-        try:
-            k_qkd = self.cfg.qkd_store.fetch(bytes(ident))
-        except UnknownQkdIdError as exc:
-            self._abort(AbortReason.UNKNOWN_QKD_ID, str(exc))
-        self.consumed_qkd = len(k_qkd)
-        self._append(data)
-        want = self._seed_len(self._stage_key_bits(1), 0)
-        s1 = self._bit_field(seed_field, want, "stage-1 seed")
-        ss_pq = self.kem.decapsulate(self.eph.secret_key, c_pq)
-        self._stage1(ss_pq, k_qkd, s1)
-
-    def on_m3(self, data: bytes) -> None:
-        (enc_cert,) = self._expect(data, 3, 1)
-        self._check_bytes(enc_cert, self.cfg.kem_bytes, "certificate")
-        self._append(data)
-        pad = self.pad_rhts.take(8 * self.cfg.kem_bytes)
-        cert = (BitString.from_bytes(enc_cert) ^ pad).to_bytes()
-        if cert not in self.cfg.trusted_certs:
-            self._abort(AbortReason.CERT_UNTRUSTED,
-                        "responder certificate not in the anchor set")
-        self.peer_cert = cert
-
-    def m4(self) -> bytes:
-        c_i, self.ss_i = self.kem.encapsulate(self.peer_cert)
-        pad = self.pad_ihts.take(8 * self.cfg.kem_bytes)
-        fields = [(BitString.from_bytes(c_i) ^ pad).to_bytes(), b""]
-        pending = encode_message(4, fields)
-        s2 = self._rand_bits(
-            self._seed_len(self._stage_key_bits(2), len(pending)))
-        fields[1] = s2.to_bytes()
-        msg = encode_message(4, fields)
-        self._append(msg)
-        self._stage2(self.ss_i, s2)
-        return msg
-
-    def m5(self) -> bytes:
-        pad = self.pad_iahts.take(8 * self.cfg.kem_bytes)
-        cert = BitString.from_bytes(self.cfg.long_term.public_key)
-        msg = encode_message(5, [(cert ^ pad).to_bytes()])
-        self._append(msg)
-        return msg
-
-    def on_m6(self, data: bytes) -> None:
-        enc_c_r, seed_field = self._expect(data, 6, 2)
-        self._check_bytes(enc_c_r, self.cfg.kem_bytes, "KEM ciphertext")
-        self._append(data)
-        want = self._seed_len(self._stage_key_bits(3), 0)
-        s3 = self._bit_field(seed_field, want, "stage-3 seed")
-        pad = self.pad_rahts.take(8 * self.cfg.kem_bytes)
-        c_r = (BitString.from_bytes(enc_c_r) ^ pad).to_bytes()
-        ss_r = self.kem.decapsulate(self.cfg.long_term.secret_key, c_r)
-        self._stage3(ss_r, s3)
-
-    def m7(self) -> bytes:
-        t = self.cfg.tag_bits
-        tag = transcript_mac(self.intermediate["fk_I"], self._full(6), t)
-        enc = tag ^ self.pad_iahts.take(t)
-        fields = [enc.to_bytes(), b""]
-        pending = encode_message(7, fields)
-        self.s4 = self._rand_bits(
-            self._seed_len(self._stage_key_bits(4), len(pending),
-                           self._m8_core_len()))
-        fields[1] = self.s4.to_bytes()
-        msg = encode_message(7, fields)
-        self._append(msg)
-        return msg
-
-    def on_m8(self, data: bytes) -> Finals:
-        t = self.cfg.tag_bits
-        (enc_tag,) = self._expect(data, 8, 1)
-        enc = self._bit_field(enc_tag, t, "finish tag")
-        self._append(data)
-        tag = enc ^ self.pad_rahts.take(t)
-        want = transcript_mac(self.intermediate["fk_R"], self._full(7), t)
-        if tag != want:
-            self._abort(AbortReason.MAC_FAIL_RF,
-                        "responder finish tag does not verify")
-        return self._stage4(self.s4)
 
 
 class Responder(_Party):
     role = "responder"
+    peer = "initiator"
     rng_offset = 2
 
-    def on_m1(self, data: bytes) -> None:
-        eph_pk, nonce = self._expect(data, 1, 2)
-        self._check_bytes(eph_pk, self.cfg.kem_bytes, "ephemeral public key")
-        self._check_bytes(nonce, NONCE_BYTES, "nonce")
-        self._append(data)
-        self.peer_eph_pk = bytes(eph_pk)
 
-    def m2(self) -> bytes:
-        ident, k_qkd = self.cfg.qkd_store.next_block()
-        self.consumed_qkd = len(k_qkd)
-        c_pq, ss_pq = self.kem.encapsulate(self.peer_eph_pk)
-        fields = [c_pq, ident, self._rand_bytes(NONCE_BYTES), b""]
-        pending = encode_message(2, fields)
-        s1 = self._rand_bits(
-            self._seed_len(self._stage_key_bits(1), len(pending)))
-        fields[3] = s1.to_bytes()
-        msg = encode_message(2, fields)
-        self._append(msg)
-        self._stage1(ss_pq, k_qkd, s1)
-        return msg
+# the message flow of the module docstring: message index -> (sender,
+# send step, receive step, step arguments, stage the message completes)
+_STEPS = {
+    1: (Initiator, _Party._send_hello, _Party._recv_hello, (), None),
+    2: (Responder, _Party._send_qkd, _Party._recv_qkd, (), 1),
+    3: (Responder, _Party._send_cert, _Party._recv_cert, ("RHTS",), None),
+    4: (Initiator, _Party._send_kem, _Party._recv_kem, ("IHTS",), 2),
+    5: (Initiator, _Party._send_cert, _Party._recv_cert, ("IAHTS",), None),
+    6: (Responder, _Party._send_kem, _Party._recv_kem, ("RAHTS",), 3),
+    7: (Initiator, _Party._send_finish, _Party._recv_finish,
+        ("fk_I", "IAHTS", AbortReason.MAC_FAIL_IF), None),
+    8: (Responder, _Party._send_finish, _Party._recv_finish,
+        ("fk_R", "RAHTS", AbortReason.MAC_FAIL_RF), 4),
+}
 
-    def m3(self) -> bytes:
-        pad = self.pad_rhts.take(8 * self.cfg.kem_bytes)
-        cert = BitString.from_bytes(self.cfg.long_term.public_key)
-        msg = encode_message(3, [(cert ^ pad).to_bytes()])
-        self._append(msg)
-        return msg
-
-    def on_m4(self, data: bytes) -> None:
-        enc_c_i, seed_field = self._expect(data, 4, 2)
-        self._check_bytes(enc_c_i, self.cfg.kem_bytes, "KEM ciphertext")
-        self._append(data)
-        want = self._seed_len(self._stage_key_bits(2), 0)
-        s2 = self._bit_field(seed_field, want, "stage-2 seed")
-        pad = self.pad_ihts.take(8 * self.cfg.kem_bytes)
-        c_i = (BitString.from_bytes(enc_c_i) ^ pad).to_bytes()
-        ss_i = self.kem.decapsulate(self.cfg.long_term.secret_key, c_i)
-        self._stage2(ss_i, s2)
-
-    def on_m5(self, data: bytes) -> None:
-        (enc_cert,) = self._expect(data, 5, 1)
-        self._check_bytes(enc_cert, self.cfg.kem_bytes, "certificate")
-        self._append(data)
-        pad = self.pad_iahts.take(8 * self.cfg.kem_bytes)
-        cert = (BitString.from_bytes(enc_cert) ^ pad).to_bytes()
-        if cert not in self.cfg.trusted_certs:
-            self._abort(AbortReason.CERT_UNTRUSTED,
-                        "initiator certificate not in the anchor set")
-        self.peer_cert = cert
-
-    def m6(self) -> bytes:
-        c_r, self.ss_r = self.kem.encapsulate(self.peer_cert)
-        pad = self.pad_rahts.take(8 * self.cfg.kem_bytes)
-        fields = [(BitString.from_bytes(c_r) ^ pad).to_bytes(), b""]
-        pending = encode_message(6, fields)
-        s3 = self._rand_bits(
-            self._seed_len(self._stage_key_bits(3), len(pending)))
-        fields[1] = s3.to_bytes()
-        msg = encode_message(6, fields)
-        self._append(msg)
-        self._stage3(self.ss_r, s3)
-        return msg
-
-    def on_m7(self, data: bytes) -> None:
-        t = self.cfg.tag_bits
-        enc_tag, seed_field = self._expect(data, 7, 2)
-        enc = self._bit_field(enc_tag, t, "finish tag")
-        self._append(data)
-        want_len = self._seed_len(self._stage_key_bits(4), 0,
-                                  self._m8_core_len())
-        self.s4 = self._bit_field(seed_field, want_len, "stage-4 seed")
-        tag = enc ^ self.pad_iahts.take(t)
-        want = transcript_mac(self.intermediate["fk_I"], self._full(6), t)
-        if tag != want:
-            self._abort(AbortReason.MAC_FAIL_IF,
-                        "initiator finish tag does not verify")
-
-    def m8(self) -> bytes:
-        t = self.cfg.tag_bits
-        tag = transcript_mac(self.intermediate["fk_R"], self._full(7), t)
-        enc = tag ^ self.pad_rahts.take(t)
-        msg = encode_message(8, [enc.to_bytes()])
-        self._append(msg)
-        self._stage4(self.s4)
-        return msg
+# who consumes each message
+RECEIVER = {index: sender.peer for index, (sender, *_) in _STEPS.items()}
 
 
 def make_configs(n: int = 256,
@@ -605,8 +548,8 @@ def make_configs(n: int = 256,
     common = dict(n=n, eps_prime=eps_prime, rng_seed=rng_seed,
                   qkd_store=store, trusted_certs=trust, sec_state=sec_state,
                   eps_qkd=eps_qkd, eps_seed=eps_seed, tag_len=tag_len)
-    init_cfg = HandshakeConfig(rng_stream=1, long_term=init_lt, **common)
-    resp_cfg = HandshakeConfig(rng_stream=2, long_term=resp_lt, **common)
+    init_cfg = HandshakeConfig(long_term=init_lt, **common)
+    resp_cfg = HandshakeConfig(long_term=resp_lt, **common)
     return init_cfg, resp_cfg
 
 
@@ -618,7 +561,8 @@ def run_handshake(init_cfg: HandshakeConfig, resp_cfg: HandshakeConfig,
     Args:
         init_cfg, resp_cfg: matched configurations (same n, eps, store).
         channel: transport; a fresh lossless one when omitted.
-        tamper: TamperSpec or "m7:bit3"-style string applied in flight.
+        tamper: TamperSpec or "m7:bit3"-style string applied in flight,
+            before the channel's own transforms.
 
     Returns:
         RunResult; on Success both finals are present and equal, on
@@ -631,19 +575,15 @@ def run_handshake(init_cfg: HandshakeConfig, resp_cfg: HandshakeConfig,
     if channel is None:
         channel = InMemoryChannel()
     if tamper is not None:
-        channel.tamper = tamper
+        channel.transforms.insert(0, (tamper.message_index, tamper.apply))
     params = budget(init_cfg.n, init_cfg.eps_prime)
     init = Initiator(init_cfg, params)
     resp = Responder(resp_cfg, params)
     try:
-        resp.on_m1(channel.deliver(init.m1()))
-        init.on_m2(channel.deliver(resp.m2()))
-        init.on_m3(channel.deliver(resp.m3()))
-        resp.on_m4(channel.deliver(init.m4()))
-        resp.on_m5(channel.deliver(init.m5()))
-        init.on_m6(channel.deliver(resp.m6()))
-        resp.on_m7(channel.deliver(init.m7()))
-        init.on_m8(channel.deliver(resp.m8()))
+        for index, (role, *_) in _STEPS.items():
+            sender, receiver = (init, resp) if role is Initiator \
+                else (resp, init)
+            receiver.receive(index, channel.deliver(sender.send(index)))
     except HandshakeAbort as exc:
         return RunResult(None, None, OUTCOME_ABORT, exc.reason, exc.party,
                          params, tuple(channel.log), init, resp)

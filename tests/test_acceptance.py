@@ -9,6 +9,7 @@ everything else is integer or rational arithmetic.
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +313,7 @@ def test_handshake_end_to_end():
 
     surviving = 0
     flips = 0
+    aborts = Counter()
     for idx, wire in enumerate(first_messages, start=1):
         for bit in range(len(wire) * 8):
             init_cfg, resp_cfg = make_configs(n=64, eps_prime=e16,
@@ -322,13 +324,37 @@ def test_handshake_end_to_end():
                     or res.initiator_finals is not None
                     or res.responder_finals is not None):
                 surviving += 1
+            else:
+                aborts[idx, res.abort_reason.value, res.abort_party] += 1
             flips += 1
     elapsed = time.perf_counter() - started
+    # which check catches each flip, and on which side: a reordered or
+    # misattributed check moves a count even when every flip still aborts
+    want_aborts = {
+        (1, "BadMessage", "responder"): 104,
+        (1, "CertUntrusted", "initiator"): 64,
+        (2, "BadMessage", "initiator"): 169,
+        (2, "CertUntrusted", "initiator"): 1415,
+        (2, "UnknownQkdId", "initiator"): 64,
+        (3, "BadMessage", "initiator"): 72,
+        (3, "CertUntrusted", "initiator"): 32,
+        (4, "BadMessage", "responder"): 111,
+        (4, "CertUntrusted", "responder"): 1401,
+        (5, "BadMessage", "responder"): 72,
+        (5, "CertUntrusted", "responder"): 32,
+        (6, "BadMessage", "initiator"): 109,
+        (6, "MacFailIF", "responder"): 1483,
+        (7, "BadMessage", "responder"): 107,
+        (7, "MacFailIF", "responder"): 16,
+        (7, "MacFailRF", "initiator"): 1437,
+        (8, "BadMessage", "initiator"): 72,
+        (8, "MacFailRF", "initiator"): 16,
+    }
     _verdict(
         "handshake: 100 clean runs agree, budget and eps ledger exact, "
-        "all single-bit tampers abort",
+        "all single-bit tampers abort with the pinned reason and party",
         clean_failures == 0 and ledger_ok and surviving == 0
-        and elapsed < 60.0,
+        and flips == 6776 and aborts == want_aborts and elapsed < 60.0,
         f"{flips} bit flips over 8 messages, {surviving} survived, "
         f"{elapsed:.1f}s")
 

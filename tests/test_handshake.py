@@ -1,5 +1,7 @@
 """Tests for the budgeted four-stage handshake simulation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from qlhl.handshake import (AbortReason, BudgetExceeded, InMemoryChannel,
                             ScheduleParams, TamperSpec, UnknownQkdIdError,
                             budget, dump_transcript, make_configs,
                             run_handshake, schedule_stage)
-from qlhl.handshake.protocol import (OUTCOME_ABORT, OUTCOME_SUCCESS, RECEIVER,
+from qlhl.handshake.protocol import (OUTCOME_ABORT, OUTCOME_SUCCESS,
                                      HandshakeConfig)
 from qlhl.ledger import SecurityLevel
 from qlhl.toeplitz import ExtractorParams, SeededHash, extract
@@ -169,6 +171,8 @@ def test_clean_run_frozen_regression_values():
     assert finals.rats.to_hex() == "3762ca19fba11e1d"
     assert result.params.seed_lens == (1351, 1369, 1451, 1437)
     assert finals.out_eps.neg_log2 == pytest.approx(14.0)
+    assert hashlib.sha256(b"".join(result.messages)).hexdigest() == (
+        "8195af8bb84eb186a8fd755a10866a2743a0ddd153df6b9e31214ab5cca82c59")
 
 
 def test_runs_are_deterministic_per_seed():
@@ -284,10 +288,16 @@ def test_tampered_first_flight_aborts_before_finals():
 
 
 def test_channel_loss_names_the_waiting_party():
-    result = _toy_run(channel=InMemoryChannel(drop_after=4))
-    assert result.outcome == OUTCOME_ABORT
-    assert result.abort_reason == AbortReason.CHANNEL_LOSS
-    assert result.abort_party == RECEIVER[5] == "responder"
+    # the receiver of the first lost message, m1..m8, written out rather
+    # than read from the protocol's own step table
+    waiting = ("responder", "initiator", "initiator", "responder",
+               "responder", "initiator", "responder", "initiator")
+    for drop_after, party in enumerate(waiting):
+        result = _toy_run(channel=InMemoryChannel(drop_after=drop_after))
+        assert result.outcome == OUTCOME_ABORT, drop_after
+        assert result.abort_reason == AbortReason.CHANNEL_LOSS, drop_after
+        assert result.abort_party == party, drop_after
+        assert len(result.messages) == drop_after
 
 
 def test_truncating_transform_aborts():
