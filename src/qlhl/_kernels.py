@@ -19,17 +19,28 @@ bits set in xr.
 Bit reversal shifts the int to a byte boundary and maps its bytes
 through a 256-entry reversal table, in reverse byte order.
 
-The block product is computed in one of three forms:
+The block product is computed in one of four forms, the first three
+exact:
 
 - rows: output bit i is the parity of (d >> (m - 1 - i)) & xr. Cost m
   int operations over L bits; the form for small m, such as MAC tags.
-- columns (four Russians): a table of the 2**w xors of w adjacent
+- columns (four Russians): a table of the 16 xors of 4 adjacent
   columns, table[v] = xor of d >> q over the bits q set in v, is built
-  by w doubling steps; then the w-bit groups v_p of xr, taken from the
-  top, fold as acc = (acc >> w) ^ table[v_p], which leaves the xor of
-  table[v_p] >> (w * p). Cost 2**w + 2 * ceil(K / w) int operations over
-  L bits, for w = 4 (narrow blocks, a 16-entry table) or w = 8 (K in
-  the thousands, a 256-entry table).
+  by 4 doubling steps; then the nibbles v_p of xr, taken from the top,
+  fold as acc = (acc >> 4) ^ table[v_p], which leaves the xor of
+  table[v_p] >> (4 * p). Cost 16 + 2 * ceil(K / 4) int operations over
+  L bits; the form for narrow blocks (K up to about a thousand).
+- byte tables: the same sum a byte at a time, in numpy. E[v] = xor of
+  d >> q over the bits q set in v, for v < 256, is held as 256 rows of
+  `width` little-endian bytes (at least L bits, and room for every
+  window below) and built by 8 doubling steps on its uint64 view. The
+  product is the xor over the input bytes v_p of xr of E[v_p] >> 8p,
+  whose low m bits are bytes p .. p + 8 ceil(m / 64) - 1 of row E[v_p].
+  The rows are gathered (np.take) a chunk of at most _BYTES_CHUNK_BYTES
+  at a time; row i of a chunk, p = start + i, has its window at byte
+  start + i * (width + 1), so one strided, unaligned uint64 view covers
+  every window of the chunk, and one xor-reduce sums them. The form for
+  K in the thousands, up to L of about 32,000-40,000 bits.
 - FFT: output bit i is the parity of coefficient i of the 'valid'
   convolution window of a, the L diagonals in order (a[t] is bit
   L - 1 - t of d), with x, the K bits of xr in order:
@@ -58,17 +69,24 @@ The block product is computed in one of three forms:
   values and one real array of F points, that is about 32 bytes per
   input bit plus 32 F bytes, however long the output. These work
   arrays belong to the calling thread (threading.local) and are reused
-  by its next call, unless together they pass _FFT_KEPT_BYTES, when
-  they are dropped as the call returns. Allocated per call, arrays of
+  by its next call, unless together with the byte tables' they pass
+  _KEPT_BYTES, when they are dropped as the call returns. Allocated per
+  call, arrays of
   128 KiB and more took fresh pages on many calls, depending on what
   the process had allocated before (the 1 MB of the 32 kbit block's on
   every one). Products of at most _FFT_FRESH_POINTS points, one block
   each way, take new arrays of at most 64 KiB, which the heap serves
   from memory that is likely still cached: kept ones had gone cold
   between calls in the benchmark loop, and cost the 8 kbit block about
-  15 %. No numpy
-  transform exceeds F points, so numpy's own per-transform scratch of
-  8 F bytes is bounded too.
+  15 %. No numpy transform exceeds F points, so numpy's own
+  per-transform scratch of 8 F bytes is bounded too.
+
+Memory of the byte tables. E takes 256 * width bytes, about 32 L: 264
+KB for the (3,111, 5,081) block and 1 MB for the 32 kbit one, and a
+gathered chunk at most _BYTES_CHUNK_BYTES = 512 KiB. Both are above
+glibc's 128 KiB mmap threshold, so, like the FFT's work arrays, they
+are kept per thread in the same store and under the same _KEPT_BYTES
+bound, and take no page faults once they have grown to a shape.
 
 Error bound of the FFT path. Each coefficient is an integer between 0
 and K. A float64 FFT convolution of w and x has error at most of order
@@ -92,11 +110,24 @@ cheapest one runs. Its constants are module constants fitted by least
 squares on per-call timings on a 2-vCPU x86 host (CPython 3.11, numpy
 2.4, pocketfft) over L from 256 to 24,000 bits: an int operation over L
 bits costs _INT_OP_US + _INT_OP_US_PER_BIT * L microseconds and a row
-parity _ROW_US + _ROW_US_PER_BIT * L. On that host narrow blocks
-(K = 62, m = 5,186) take about 15 us in 4-bit columns against 290 us in
-the FFT, a 64-bit tag of 16 kbit about 0.2 ms in rows, and blocks of
-16 kbit and more with K in the thousands the FFT. The ranking is cached
-per (K, m) for the last _FORM_CACHE_SHAPES shapes.
+parity _ROW_US + _ROW_US_PER_BIT * L. A byte-table product costs
+_BYTES_US, plus _BYTES_US_PER_TABLE_BYTE per byte of E (256 * width),
+_BYTES_US_PER_GATHER_BYTE per gathered byte (ceil(K / 8) * width) and
+_BYTES_US_PER_WORD per window word summed (ceil(K / 8) * ceil(m / 64)).
+These four were fitted on the same host over K from 62 to 60,000 and m
+from 32 to 60,000, timing every form in turn in a loop that runs an
+exact reference product and touches 1 MB between calls, as the
+benchmark's checks do; each shape's byte-table times were scaled by how
+far that shape's other forms ran from their model, since the host's
+speed drifts by up to 2x over minutes. In that loop narrow blocks
+(K = 62, m = 5,186) take about 18 us in nibble columns against 110 us
+in byte tables and 350 us in the FFT, a 64-bit tag of 16 kbit about
+0.2 ms in rows, the (2,926, 2,622) handshake block 0.15 ms in byte
+tables against 0.33 ms in columns, the (3,111, 5,081) privacy
+amplification block 0.20 ms against 0.39 ms in the FFT, the 32 kbit one
+1.0 ms against 2.0 ms, and a (40,000, 60,000) block 4.9 ms in the FFT
+against 6.6 ms in byte tables. The ranking is cached per (K, m) for the
+last _FORM_CACHE_SHAPES shapes.
 
 The FFT's cost at transform size F is _FFT_US plus, per transform,
 _FFT_US_PER_POINT_LOG * F * log2 F and, per spectrum product beyond
@@ -114,10 +145,8 @@ while 16,384-point ones took none. F runs over the powers of two from
 _FFT_HEAP_POINTS, or the one transform of a smaller block, to
 _FFT_MAX_POINTS, and the cheapest F is taken. One transform of at
 most _FFT_HEAP_POINTS points costs _FFT_US + 3 * _FFT_US_PER_POINT_LOG
-* F * log2 F, the single-transform cost fitted with the other forms,
-so the 4-16 kbit privacy amplification blocks keep the form and the
-transform size that fit gives them; the 32 kbit one is cut into
-16,384-point transforms. The other constants were fitted on the same
+* F * log2 F, the single-transform cost fitted with the int forms. The
+other constants were fitted on the same
 host on blocks from (K, m) = (3,111, 5,081) to (1,761,637, 2,433,046)
 with F from 2**11 to 2**23. _FFT_MAX_POINTS bounds memory: a 2**20-bit
 [T | I] block then takes 2**16-point transforms and about 18 MB of
@@ -177,8 +206,6 @@ _MAC_POWER_TABLES = 8
 # the carry word right by g + 1 (numpy shifts uint64 by 64 to 0)
 _FOLD_LEFT = np.arange(63, -1, -1, dtype=np.uint64)
 _FOLD_RIGHT = np.arange(1, 65, dtype=np.uint64)
-# column-table widths in bits: 4 and 8 read xr a nibble or a byte a time
-_TABLE_WIDTHS = (4, 8)
 # (k, m) block shapes whose ranking of forms is kept
 _FORM_CACHE_SHAPES = 1024
 # cost model in microseconds, see the module docstring
@@ -187,6 +214,10 @@ _INT_OP_US_PER_BIT = 0.000035
 _ROW_US = 0.2
 _ROW_US_PER_BIT = 0.00018
 _FFT_US = 44.0
+_BYTES_US = 56.0
+_BYTES_US_PER_TABLE_BYTE = 0.00028
+_BYTES_US_PER_GATHER_BYTE = 0.000097
+_BYTES_US_PER_WORD = 0.0005
 # per transform and point * log2(points), and per spectrum product and
 # point, for transforms of up to _FFT_CACHE_POINTS points and above
 _FFT_US_PER_POINT_LOG = (0.001, 0.0013)
@@ -201,9 +232,12 @@ _FFT_HEAP_POINTS = 1 << 14
 _FFT_MAX_POINTS = 1 << 19
 # FFT products of transforms up to _FFT_FRESH_POINTS points take new
 # arrays of at most 64 KiB each; a thread keeps the work arrays of
-# larger ones between calls, up to _FFT_KEPT_BYTES in all
+# larger ones and of byte-table products between calls, up to
+# _KEPT_BYTES in all
 _FFT_FRESH_POINTS = 1 << 13
-_FFT_KEPT_BYTES = 1 << 22
+_KEPT_BYTES = 1 << 22
+# rows of a byte-table product gathered per step, in bytes
+_BYTES_CHUNK_BYTES = 1 << 19
 
 # byte -> byte with its 8 bits in reverse order
 _REVERSE_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -245,56 +279,111 @@ def _rows(d: int, xr: int, k: int, m: int) -> int:
     return y
 
 
-def _columns(d: int, xr: int, k: int, m: int, w: int) -> int:
-    """Block product by four-Russians tables of w-column sums (w = 4 or 8)."""
-    # table[v] is the xor of the columns q < w whose bit q is set in v
+def _columns(d: int, xr: int, k: int, m: int) -> int:
+    """Block product by four-Russians tables of nibble column sums."""
+    # table[v] is the xor of the columns q < 4 whose bit q is set in v
     table = [0]
-    for q in range(w):
+    for q in range(4):
         column = d >> q
         table += [t ^ column for t in table]
-    # Horner from the top group down: the sum of table[v_p] >> (w * p)
+    # Horner from the top nibble down: the sum of table[v_p] >> (4 * p)
     acc = 0
     for b in xr.to_bytes((k + 7) // 8, "big"):
-        if w == 8:
-            acc = (acc >> 8) ^ table[b]
-        else:
-            acc = (acc >> 4) ^ table[b >> 4]
-            acc = (acc >> 4) ^ table[b & 15]
+        acc = (acc >> 4) ^ table[b >> 4]
+        acc = (acc >> 4) ^ table[b & 15]
     return acc & ((1 << m) - 1)
 
 
+def _byte_shape(k: int, m: int) -> tuple[int, int, int]:
+    """(input bytes nx, words of a window, row width in bytes) of a
+    byte-table product; a row holds d and, for every p < nx, the window
+    of bytes p .. p + 8 * words - 1."""
+    nx, words = (k + 7) // 8, (m + 63) // 64
+    return nx, words, -(-max(k + m - 1, 8 * (nx - 1 + 8 * words)) // 64) * 8
+
+
+def _bytes(d: int, xr: int, k: int, m: int) -> int:
+    """Block product by a 256-row table of byte column sums."""
+    nx, words, width = _byte_shape(k, m)
+    table, gather = _byte_arrays(width, nx)
+    # row q of shifted is d >> q, from d's words and the next word up
+    # (numpy shifts uint64 by 64 to 0)
+    dw = np.frombuffer(d.to_bytes(width + 8, "little"), "<u8")
+    qs = np.arange(8, dtype=np.uint64)[:, None]
+    shifted = (dw[:-1] >> qs) | (dw[1:] << (64 - qs))
+    # E[v] = xor of d >> q over the bits q set in v, by 8 doubling steps
+    rows = table.view("<u8")
+    rows[0] = 0
+    for q in range(8):
+        np.bitwise_xor(rows[:1 << q], shifted[q], out=rows[1 << q:2 << q])
+    # the xor over input bytes v_p of E[v_p] >> 8p, low words first: row
+    # i of a chunk gathered from input byte `start` on is E[v_p] for
+    # p = start + i, and its window of bytes p .. p + 8 words - 1 starts
+    # start + i * (width + 1) bytes into the chunk
+    v = np.frombuffer(xr.to_bytes(nx, "little"), np.uint8)
+    acc = np.zeros(words, "<u8")
+    step = gather.shape[0]
+    for start in range(0, nx, step):
+        chunk = v[start:start + step]
+        np.take(table, chunk, axis=0, out=gather[:chunk.size], mode="clip")
+        windows = np.ndarray((chunk.size, words), "<u8", gather, start,
+                             (width + 1, 8))
+        acc ^= np.bitwise_xor.reduce(windows, axis=0)
+    _trim_work()
+    return int.from_bytes(acc.tobytes(), "little") & ((1 << m) - 1)
+
+
 # this thread's work arrays for FFT products of more than
-# _FFT_FRESH_POINTS points, kept from call to call (see _work_arrays)
+# _FFT_FRESH_POINTS points and for byte-table products, kept from call
+# to call (see _kept)
 _WORK = threading.local()
+
+
+def _kept(name: str, size: int, dtype) -> np.ndarray:
+    """The first `size` items of this thread's kept array `name`, which
+    grows when too small."""
+    array = getattr(_WORK, name, None)
+    if array is None or array.size < size:
+        array = np.empty(size, dtype)
+        setattr(_WORK, name, array)
+    return array[:size]
 
 
 def _work_arrays(points: int, nx: int) -> tuple:
     """Views (x spectra, ring, product row, real) of this thread's kept
-    arrays for a product of nx input blocks and transforms of
+    arrays for an FFT product of nx input blocks and transforms of
     F = points.
 
     They are nx rows of x block spectra, nx rows for the ring of window
     spectra and a row for one product, each of F // 2 + 1 complex
     values, and one real array of F values for a transform's input or
-    output. The kept arrays grow when too small.
+    output.
     """
     half = points // 2 + 1
-    rows = 2 * nx + 1
-    spectra = getattr(_WORK, "spectra", None)
-    if spectra is None or spectra.size < rows * half:
-        spectra = _WORK.spectra = np.empty(rows * half, dtype=np.complex128)
-    real = getattr(_WORK, "real", None)
-    if real is None or real.size < points:
-        real = _WORK.real = np.empty(points)
-    spectra = spectra[:rows * half].reshape(rows, half)
-    return spectra[:nx], spectra[nx:2 * nx], spectra[2 * nx], real[:points]
+    spectra = _kept("spectra", (2 * nx + 1) * half,
+                    np.complex128).reshape(2 * nx + 1, half)
+    return (spectra[:nx], spectra[nx:2 * nx], spectra[2 * nx],
+            _kept("real", points, np.float64))
+
+
+def _byte_arrays(width: int, nx: int) -> tuple:
+    """Views (table, gather) of this thread's kept arrays for a byte-table
+    product of nx input bytes and rows of `width` bytes: the 256-row
+    table and a chunk of at most _BYTES_CHUNK_BYTES of gathered rows."""
+    rows = max(1, min(nx, _BYTES_CHUNK_BYTES // width))
+    # a chunk of fewer rows than the input has fits one buffer of
+    # _BYTES_CHUNK_BYTES whatever the width, so that it is not regrown
+    size = rows * width if rows == nx else max(width, _BYTES_CHUNK_BYTES)
+    gather = _kept("gather", size, np.uint8)[:rows * width]
+    return (_kept("table", 256 * width, np.uint8).reshape(256, width),
+            gather.reshape(rows, width))
 
 
 def _trim_work() -> None:
     """Drop this thread's kept work arrays if together they pass
-    _FFT_KEPT_BYTES."""
+    _KEPT_BYTES."""
     kept = vars(_WORK)
-    if sum(a.nbytes for a in kept.values()) > _FFT_KEPT_BYTES:
+    if sum(a.nbytes for a in kept.values()) > _KEPT_BYTES:
         kept.clear()
 
 
@@ -443,17 +532,20 @@ def _fft_plan(k: int, m: int) -> tuple[int, float]:
 
 @functools.lru_cache(maxsize=_FORM_CACHE_SHAPES)
 def _forms(k: int, m: int) -> tuple:
-    """(name, table width or 0) of every form, cheapest first.
+    """Names of every form, cheapest first.
 
     The ranking is cached per (k, m); it holds names rather than the
     functions, which are looked up on the module when they run.
     """
     length = k + m - 1
     op = _INT_OP_US + _INT_OP_US_PER_BIT * length
-    costs = {("_rows", 0): m * (_ROW_US + _ROW_US_PER_BIT * length),
-             ("_fft", 0): _fft_plan(k, m)[1]}
-    for w in _TABLE_WIDTHS:
-        costs["_columns", w] = ((1 << w) + 2 * -(-k // w)) * op
+    nx, words, width = _byte_shape(k, m)
+    costs = {"_rows": m * (_ROW_US + _ROW_US_PER_BIT * length),
+             "_columns": (16 + 2 * -(-k // 4)) * op,
+             "_bytes": (_BYTES_US + _BYTES_US_PER_TABLE_BYTE * 256 * width
+                        + _BYTES_US_PER_GATHER_BYTE * nx * width
+                        + _BYTES_US_PER_WORD * nx * words),
+             "_fft": _fft_plan(k, m)[1]}
     return tuple(sorted(costs, key=costs.get))
 
 
@@ -463,9 +555,8 @@ def _block_product(d: int, xr: int, k: int, m: int) -> int:
     Forms run cheapest first until one returns; only the FFT can decline,
     when its rounding guard fails.
     """
-    for name, w in _forms(k, m):
-        form = globals()[name]
-        y = form(d, xr, k, m, w=w) if w else form(d, xr, k, m)
+    for name in _forms(k, m):
+        y = globals()[name](d, xr, k, m)
         if y is not None:
             return y
 

@@ -362,25 +362,55 @@ def _selftest_surjectivity() -> str:
     return f"surjectivity: {checks} seeds at n=5"
 
 
+def _seeded_block(rng, n: int, m: int, modified: bool):
+    params = (ExtractorParams.modified(n, m) if modified
+              else ExtractorParams.regular(n, m))
+    seed = BitString.from_u8(
+        rng.integers(0, 2, params.seed_len, dtype=np.uint8))
+    x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
+    return SeededHash(params, seed), x
+
+
 def _selftest_fast_path() -> str:
     rng = np.random.default_rng(20240817)
-    # 300 small random shapes, then blocks large enough that the kernel
-    # takes its FFT form: one per family, and a 32 kbit privacy
-    # amplification block cut into 16,384-point transforms
-    shapes = [(int(n), int(rng.integers(1, n + 1)), trial % 2 == 1)
-              for trial, n in enumerate(rng.integers(1, 513, 300))]
-    shapes += [(8192, 3000, True), (8192, 2271, False), (32768, 15492, True)]
-    for n, m, modified in shapes:
-        params = (ExtractorParams.modified(n, m) if modified
-                  else ExtractorParams.regular(n, m))
-        seed = BitString.from_u8(
-            rng.integers(0, 2, params.seed_len, dtype=np.uint8))
-        x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
-        h = SeededHash(params, seed)
+    # 300 small random shapes through the form the cost model picks
+    for trial, n in enumerate(rng.integers(1, 513, 300)):
+        n = int(n)
+        m = int(rng.integers(1, n + 1))
+        h, x = _seeded_block(rng, n, m, trial % 2 == 1)
         if extract(h, x) != extract_fast(h, x):
             raise AssertionError(f"fast path mismatch at n={n} m={m}")
-    return (f"fast path: {len(shapes)} cases (300 random, 3 FFT-sized, one "
-            "of them in blocks) match the reference")
+    # every form of the block product on blocks of both families, up to
+    # a 32 kbit privacy amplification block (FFT in 16,384-point blocks)
+    forms = {"rows": _kernels._rows, "columns": _kernels._columns,
+             "bytes": _kernels._bytes, "FFT": _kernels._fft}
+    blocks = ((8192, 3000, True), (8192, 2271, False), (32768, 15492, True))
+    for n, m, modified in blocks:
+        h, x = _seeded_block(rng, n, m, modified)
+        want = extract(h, x).to_int()
+        d, xr, k, tail = _kernels._operands(modified, h.seed.to_int(), n, m,
+                                            x.to_int())
+        for name, form in forms.items():
+            if form(d, xr, k, m) ^ tail != want:
+                raise AssertionError(f"{name} form mismatch at n={n} m={m}")
+    # a block the cost model gives the FFT, checked on 64 seeded rows by
+    # a direct dot product: row i of [T | I] has s[i - j] at j <= i,
+    # s[m - 1 + j - i] at i < j < K and the identity at K + i
+    n, m = 100_000, 57_885
+    k = n - m
+    if _kernels._forms(k, m)[0] != "_fft":
+        raise AssertionError(f"n={n} m={m} no longer ranks the FFT first")
+    h, x = _seeded_block(rng, n, m, True)
+    out, s, xs = extract_fast(h, x).to_u8(), h.seed.to_u8(), x.to_u8()
+    j = np.arange(k)
+    for i in rng.choice(m, size=64, replace=False).tolist():
+        row = s[np.where(i >= j, i - j, m - 1 + j - i)].astype(np.int64)
+        if out[i] != (int(row @ xs[:k]) + int(xs[k + i])) & 1:
+            raise AssertionError(f"FFT block row {i} mismatch at n={n}")
+    return (f"fast path: 300 random cases match the reference; the "
+            f"{', '.join(forms)} forms match it on {len(blocks)} blocks up "
+            f"to 32 kbit; a {n}-bit FFT block matches 64 rows by direct "
+            "dot product")
 
 
 def _selftest_fixtures() -> str:

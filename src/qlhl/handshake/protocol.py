@@ -219,10 +219,10 @@ class HandshakeConfig:
         t = self.tag_bits
         if not 4 <= t <= 64:
             raise ValueError("tag length must be 4..64 bits")
+        # also bounds t below n / 2, so the n/2-bit ciphertext pad and a
+        # tag fit in one n-bit key
         if self.n < 3 * t - 1:
             raise ValueError("chained tags need n >= 3*tag_len - 1")
-        if self.n // 2 + t > self.n:
-            raise ValueError("tag and ciphertext pads exceed one n-bit key")
         if len(self.sec_state) != self.n:
             raise ValueError(f"session state must be {self.n} bits")
 

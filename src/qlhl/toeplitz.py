@@ -18,9 +18,11 @@ Matrix entries for the modified family (K = n - m block columns):
 `extract` is a straightforward arbitrary-precision implementation used
 as the reference; `extract_fast` hands the seed's and the input's ints
 to `_kernels`, which computes the same product by whichever of row
-parities, four-Russians column tables or a checked float64 FFT its cost
-model finds cheapest for the shape. Both return identical bits for
-identical arguments.
+parities, four-Russians nibble column tables, numpy byte column tables
+or a checked float64 FFT its cost model finds cheapest for the shape.
+The first three are exact integer forms; the FFT is exact by a written
+error bound and a rounding guard checked on every call. Both functions
+return identical bits for identical arguments.
 """
 
 from __future__ import annotations
@@ -176,8 +178,9 @@ def extract_fast(h: SeededHash, x: BitString) -> BitString:
 
     Works on the ints the BitStrings hold, without unpacking them to one
     byte per bit. Bit-identical to `extract`; see `_kernels` for the
-    exact int forms, the FFT form with the error bound that makes it
-    exact, and the cost model that picks one.
+    exact forms (row parities, nibble column tables, byte column tables
+    in numpy), the FFT form with the error bound that makes it exact,
+    and the cost model that picks one.
     """
     n = h.params.input_len
     m = h.params.output_len

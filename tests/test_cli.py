@@ -333,8 +333,15 @@ def test_selftest_passes_and_reaches_the_fft(monkeypatch, capsys):
         return original(a, x, size)
 
     monkeypatch.setattr(_kernels, "_fft_convolve", spy)
+    ran = []
+    for name in ("_rows", "_columns", "_bytes"):
+        def counted(*args, form=getattr(_kernels, name), name=name):
+            ran.append(name)
+            return form(*args)
+        monkeypatch.setattr(_kernels, name, counted)
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7
     assert all(line.startswith("ok: ") for line in lines)
     assert len(sizes) >= 2
+    assert set(ran) == {"_rows", "_columns", "_bytes"}

@@ -13,6 +13,7 @@ from qlhl.handshake import (AbortReason, BudgetExceeded, InMemoryChannel,
                             run_handshake, schedule_stage)
 from qlhl.handshake.protocol import (OUTCOME_ABORT, OUTCOME_SUCCESS,
                                      HandshakeConfig)
+from qlhl.handshake.wire import core_of_wire
 from qlhl.ledger import SecurityLevel
 from qlhl.toeplitz import ExtractorParams, SeededHash, extract
 
@@ -197,13 +198,17 @@ def test_eps_ledger_accumulates_all_stages():
 
 
 def test_seed_lengths_are_input_minus_one():
-    # every stage seed is one bit shorter than keys + label + core
-    # transcript, so the four values grow with the wire traffic
+    # stage s hashes its keys, a 64-bit label and the core (seed-emptied)
+    # transcript up to m(2s), the message that completes it; its seed is
+    # one bit shorter than that input
     result = _toy_run()
-    lens = result.params.seed_lens
-    assert len(lens) == 4
-    assert lens == tuple(sorted(lens)) or lens[0] < lens[-1]
-    assert all(v > result.params.qkd_budget for v in lens)
+    p, n = result.params, 64
+    key_bits = {1: n + p.qkd_budget + n, 2: p.k1 + n, 3: p.k2 + n, 4: p.k3}
+    want = tuple(
+        key_bits[s] + 64 - 1
+        + 8 * sum(len(core_of_wire(msg)) for msg in result.messages[:2 * s])
+        for s in range(1, 5))
+    assert p.seed_lens == want
 
 
 def test_transcript_dump_lists_all_messages():
@@ -320,6 +325,14 @@ def test_config_validation():
     assert init_cfg.tag_bits == 16
     big_cfg, _ = make_configs(n=256, eps_prime=SecurityLevel(64.0))
     assert big_cfg.tag_bits == 64
+
+
+def test_tag_length_edge_of_three_tags_per_key():
+    # n = 64 holds 3 * 21 - 1 = 62 bits but not 3 * 22 - 1 = 65
+    cfg, _ = make_configs(n=64, eps_prime=E16, tag_len=21)
+    assert cfg.tag_bits == 21
+    with pytest.raises(ValueError, match=r"3\*tag_len - 1"):
+        make_configs(n=64, eps_prime=E16, tag_len=22)
 
 
 def test_mismatched_parties_rejected():

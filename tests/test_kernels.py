@@ -45,20 +45,36 @@ def _spy_fft(monkeypatch, shift=0.0):
     return calls
 
 
+# label of each block-product form: _columns reads xr a nibble (4 bits)
+# at a time
+_LABELS = {"_rows": "rows", "_columns": "columns4", "_bytes": "bytes",
+           "_fft": "fft"}
+
+
 def _spy_forms(monkeypatch):
-    """Record each block-product form that runs: rows, columns<w> or fft."""
+    """Record the label of each block-product form that runs."""
     ran = []
 
-    def spy(name, form):
-        def wrapper(*args, **kwargs):
-            ran.append(name + str(kwargs.get("w", "")))
-            return form(*args, **kwargs)
+    def spy(label, form):
+        def wrapper(*args):
+            ran.append(label)
+            return form(*args)
         return wrapper
 
-    for name in ("rows", "columns", "fft"):
-        monkeypatch.setattr(_kernels, "_" + name,
-                            spy(name, getattr(_kernels, "_" + name)))
+    for name, label in _LABELS.items():
+        monkeypatch.setattr(_kernels, name,
+                            spy(label, getattr(_kernels, name)))
     return ran
+
+
+def _force_fft_first(monkeypatch):
+    """Rank the FFT first, the exact forms after it in their order."""
+    rank = _kernels._forms.__wrapped__
+
+    def forms(k, m):
+        return ("_fft",) + tuple(f for f in rank(k, m) if f != "_fft")
+
+    monkeypatch.setattr(_kernels, "_forms", forms)
 
 
 def test_numpy_backend_matches_reference_extract():
@@ -72,12 +88,7 @@ def test_numpy_backend_matches_reference_extract():
             extract(h, BitString.from_u8(x))
 
 
-_FORMS = {
-    "rows": _kernels._rows,
-    "columns4": functools.partial(_kernels._columns, w=4),
-    "columns8": functools.partial(_kernels._columns, w=8),
-    "fft": _kernels._fft,
-}
+_FORMS = {label: getattr(_kernels, name) for name, label in _LABELS.items()}
 
 
 @settings(max_examples=120, deadline=None)
@@ -107,9 +118,11 @@ def test_prop_edge_shapes_match_reference_on_both_paths(data):
 
 
 @pytest.mark.parametrize("family, n, m, fft", [
-    (Family.MODIFIED, 32768, 15492, True),   # pa_bulk, 32 kbit
-    (Family.MODIFIED, 4096, 411, True),
-    (Family.REGULAR, 8192, 2271, True),
+    (Family.MODIFIED, 40960, 8192, True),    # K = 32,768
+    (Family.REGULAR, 32768, 4096, True),
+    (Family.MODIFIED, 32768, 15492, False),  # pa_bulk, 32 kbit
+    (Family.MODIFIED, 4096, 411, False),
+    (Family.REGULAR, 8192, 2271, False),
     (Family.MODIFIED, 2106, 1020, False),
     (Family.MODIFIED, 2092, 702, False),
     (Family.MODIFIED, 16384, 64, False),     # one-shot MAC tag
@@ -128,10 +141,11 @@ def test_shapes_either_side_of_crossover_match_reference(
 
 @pytest.mark.parametrize("family, n, m, form", [
     (Family.MODIFIED, 5888, 5826, "columns4"),   # keymix, narrow block
-    (Family.MODIFIED, 7112, 4986, "columns8"),   # handshake stage
+    (Family.MODIFIED, 2248, 1338, "columns4"),   # handshake stage, K = 910
+    (Family.MODIFIED, 7112, 4986, "bytes"),      # handshake stage
     (Family.MODIFIED, 16384, 64, "rows"),        # one-shot MAC tag
-    (Family.MODIFIED, 32768, 15492, "fft"),      # pa_bulk, 32 kbit
-    (Family.REGULAR, 8192, 2271, "fft"),
+    (Family.MODIFIED, 32768, 15492, "bytes"),    # pa_bulk, 32 kbit
+    (Family.REGULAR, 8192, 2271, "bytes"),       # pa_bulk
 ])
 def test_workload_shapes_take_their_form(monkeypatch, family, n, m, form):
     rng = np.random.default_rng(n - m)
@@ -140,6 +154,69 @@ def test_workload_shapes_take_their_form(monkeypatch, family, n, m, form):
     ran = _spy_forms(monkeypatch)
     assert extract_fast(h, x) == extract(h, x)
     assert ran == [form]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_byte_table_edge_shapes_match_reference(family):
+    # K % 8 and m % 64 at 0 and +-1, through the byte-table form alone
+    rng = np.random.default_rng(41)
+    for k in (1, 7, 8, 9, 63, 64, 65, 121):
+        for m in (1, 63, 64, 65, 127, 128, 129, 200):
+            if family is Family.REGULAR and m > k:
+                continue
+            n = k + m if family is Family.MODIFIED else k
+            h = _seeded_hash(family, n, m, rng)
+            x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
+            d, xr, _, tail = _kernels._operands(family is Family.MODIFIED,
+                                                h.seed.to_int(), n, m,
+                                                x.to_int())
+            assert _kernels._bytes(d, xr, k, m) ^ tail == \
+                extract(h, x).to_int(), (k, m)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_byte_table_chunk_boundaries_match_reference(monkeypatch, rows):
+    # the input bytes are gathered `rows` at a time: 1 .. 3 * rows + 1
+    # input bytes put the last chunk at every fill, full ones included
+    rng = np.random.default_rng(rows)
+    for nx in range(1, 3 * rows + 2):
+        for k in (8 * nx - 7, 8 * nx):
+            m = int(rng.integers(1, 300))
+            d, xr = _random_operands(rng, k, m)
+            width = _kernels._byte_shape(k, m)[2]
+            monkeypatch.setattr(_kernels, "_BYTES_CHUNK_BYTES", rows * width)
+            assert _kernels._byte_arrays(width, nx)[1].shape[0] == \
+                min(nx, rows)
+            assert _kernels._bytes(d, xr, k, m) == \
+                _kernels._rows(d, xr, k, m), (k, m)
+
+
+def test_byte_table_arrays_are_kept_and_bounded(monkeypatch):
+    # a thread keeps the table and the gather chunk of byte-table
+    # products, reuses them for shapes they fit, and drops them after a
+    # product whose arrays pass the bound
+    monkeypatch.setattr(_kernels, "_KEPT_BYTES", 1 << 21)
+    work = vars(_kernels._WORK)   # this thread's kept arrays
+    work.clear()
+    rng = np.random.default_rng(33)
+    kept = []
+    for k, m in ((3111, 5081), (3111, 5081), (1000, 1000), (17276, 15492),
+                 (60000, 20000), (3111, 5081)):
+        d, xr = _random_operands(rng, k, m)
+        table = work.get("table")
+        assert _kernels._bytes(d, xr, k, m) == _kernels._columns(d, xr, k, m)
+        size = sum(a.nbytes for a in work.values())
+        assert size <= _kernels._KEPT_BYTES
+        kept.append((size > 0,
+                     table is not None and work.get("table") is table))
+    assert kept == [
+        (True, False),    # the pa_bulk p50 slot: 264 KB table, new
+        (True, True),     # the same shape again reuses it
+        (True, True),     # a smaller shape too
+        (True, False),    # the 32 kbit block grows it to 1 MB
+        (False, False),   # an 80 kbit block's 2.5 MB table: dropped
+        (True, False),    # the p50 slot keeps new ones
+    ]
 
 
 def test_form_ranking_is_cached_and_bounded(monkeypatch):
@@ -192,8 +269,11 @@ def test_large_block_rows_match_direct_dot_product(family, m):
 @pytest.mark.parametrize("shift", [0.4, 0.6])
 def test_fft_precision_loss_falls_back_to_exact_path(monkeypatch, shift):
     # coefficients pushed 0.4 or 0.6 off their integers fail the rounding
-    # guard, and the block is recomputed by the cheapest exact int form;
-    # unguarded, a 0.6 shift would round every coefficient up
+    # guard, and the block is recomputed by the cheapest exact form;
+    # unguarded, a 0.6 shift would round every coefficient up. These
+    # blocks take one transform each, a size the exact forms now beat,
+    # so the FFT is ranked first by hand.
+    _force_fft_first(monkeypatch)
     calls = _spy_fft(monkeypatch, shift)
     ran = _spy_forms(monkeypatch)
     rng = np.random.default_rng(21)
@@ -203,7 +283,7 @@ def test_fft_precision_loss_falls_back_to_exact_path(monkeypatch, shift):
         x = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
         assert extract_fast(h, x) == extract(h, x)
     assert len(calls) == 2
-    assert ran == ["fft", "columns8"] * 2
+    assert ran == ["fft", "bytes"] * 2
 
 
 # block size c of the blocked FFT products forced below: transforms of
@@ -264,7 +344,9 @@ def test_fft_transform_sizes():
 def test_blocked_fft_precision_loss_falls_back_to_exact_path(monkeypatch,
                                                             shift):
     # the guard fails on the first output block of the 32 kbit block,
-    # cut into 16,384-point transforms, and the exact form recomputes it
+    # cut into 16,384-point transforms, and the exact form recomputes it;
+    # the block takes byte tables unless the FFT is ranked first by hand
+    _force_fft_first(monkeypatch)
     calls = _spy_fft(monkeypatch, shift)
     ran = _spy_forms(monkeypatch)
     rng = np.random.default_rng(22)
@@ -272,7 +354,7 @@ def test_blocked_fft_precision_loss_falls_back_to_exact_path(monkeypatch,
     x = BitString.from_u8(rng.integers(0, 2, 32768, dtype=np.uint8))
     assert extract_fast(h, x) == extract(h, x)
     assert calls == [16384]
-    assert ran == ["fft", "columns8"]
+    assert ran == ["fft", "bytes"]
 
 
 def _random_operands(rng, k, m):
@@ -284,20 +366,22 @@ def _random_operands(rng, k, m):
 
 def test_fft_products_in_threads_match_exact_form():
     # each thread keeps its own work arrays: four threads computing
-    # one-transform and blocked products at once, with the interpreter
-    # switching threads as often as it can, all match the exact form
+    # one-transform and blocked FFT products and byte-table products at
+    # once, with the interpreter switching threads as often as it can,
+    # all match the nibble-column form
     rng = np.random.default_rng(31)
     cases = []
     for k, m in ((3111, 5081), (17276, 15492), (20000, 20000)):
         d, xr = _random_operands(rng, k, m)
-        cases.append((d, xr, k, m, _kernels._columns(d, xr, k, m, w=8)))
+        cases.append((d, xr, k, m, _kernels._columns(d, xr, k, m)))
     mismatches, done = [], []
 
     def work(order):
         for i in order * 3:
             d, xr, k, m, want = cases[i]
-            if _kernels._fft(d, xr, k, m) != want:
-                mismatches.append((k, m))
+            for form in (_kernels._fft, _kernels._bytes):
+                if form(d, xr, k, m) != want:
+                    mismatches.append((form.__name__, k, m))
         done.append(order)
 
     threads = [threading.Thread(target=work, args=(order,))
@@ -320,7 +404,7 @@ def test_fft_work_arrays_are_reused_and_bounded(monkeypatch):
     # the bound, reuses them for a repeated shape, leaves them to
     # one-transform products, which take new arrays, and drops them
     # after a product whose arrays pass the bound
-    monkeypatch.setattr(_kernels, "_FFT_KEPT_BYTES", 1 << 21)
+    monkeypatch.setattr(_kernels, "_KEPT_BYTES", 1 << 21)
     work = vars(_kernels._WORK)   # this thread's kept arrays
     work.clear()
     rng = np.random.default_rng(32)
@@ -330,10 +414,9 @@ def test_fft_work_arrays_are_reused_and_bounded(monkeypatch):
                  (150000, 60000)):
         d, xr = _random_operands(rng, k, m)
         spectra = work.get("spectra")
-        assert _kernels._fft(d, xr, k, m) == _kernels._columns(d, xr, k, m,
-                                                                w=8)
+        assert _kernels._fft(d, xr, k, m) == _kernels._columns(d, xr, k, m)
         size = sum(a.nbytes for a in work.values())
-        assert size <= _kernels._FFT_KEPT_BYTES
+        assert size <= _kernels._KEPT_BYTES
         kept.append((size > 0,
                      spectra is not None and work.get("spectra") is spectra))
     assert kept == [
