@@ -46,47 +46,46 @@ exact:
   L - 1 - t of d), with x, the K bits of xr in order:
   y[i] = sum over j of a[K - 1 + i - j] * x[j]. It is computed from
   float64 rfft products of F points, a power of two the cost model
-  chooses. When F >= L, one transform each of a and x and one inverse
-  give the window: terms of the linear convolution at index >= F wrap
-  to index - F <= K - 2, below the window, which starts at K - 1.
-  Otherwise the product is a 2-D overlap-save: the K input bits and the
-  m output rows are cut into nx and ny blocks of c = F / 2. Output
-  block u meets input block v through the 2c - 1 diagonals from
-  K - c + (u - v) * c on (zero outside 0..L - 1), a window that depends
-  only on u - v. Each x block's spectrum X[v] and each window's
+  chooses, by one 2-D overlap-save: the K input bits are cut into nx
+  blocks of cx bits and the m output rows into ny blocks of cy rows,
+  with cx + cy - 1 <= F. When the L diagonals fit one transform,
+  (cx, cy) = (K, m), one block each way; otherwise cx = cy = F / 2.
+  Output block u meets input block v through the cx + cy - 1 diagonals
+  from K - cx + (u - v) * cx on (zero outside 0..L - 1), a window that
+  depends only on u - v. Each x block's spectrum X[v] and each window's
   spectrum W[u - v] is taken once; output block u is the inverse
-  transform of the sum over v of W[u - v] * X[v], read at c - 1 ..
-  2c - 2, above the wrapped terms (index <= c - 3). Blocks of cx bits
-  and cy rows need F >= cx + cy - 1 in general, which both cases meet:
-  the first is the case of one block each way. The whole product takes
-  nx + (nx + ny - 1) + ny transforms and nx * ny spectrum products.
+  transform of the sum over v of W[u - v] * X[v], read at cx - 1 ..
+  cx + cy - 2: terms of the linear convolution at index >= F wrap to
+  index - F <= cx - 2, below the read-out. The whole product takes
+  nx + (nx + ny - 1) + ny transforms and nx * ny spectrum products,
+  three and one for one block each way.
 
   Memory. The output blocks are swept in order, keeping the nx x
   spectra and a ring of the nx window spectra that output block u
   needs, u - nx < u - v <= u, slot (u - v) mod nx. The sum for block u
   is taken in the slot of window u - nx + 1, which leaves the ring
-  after it. A blocked call holds 2 nx + 1 spectra of F / 2 + 1 complex
-  values and one real array of F points, that is about 32 bytes per
-  input bit plus 32 F bytes, however long the output. These work
-  arrays belong to the calling thread (threading.local) and are reused
-  by its next call, unless together with the byte tables' they pass
-  _KEPT_BYTES, when they are dropped as the call returns. Allocated per
-  call, arrays of
-  128 KiB and more took fresh pages on many calls, depending on what
-  the process had allocated before (the 1 MB of the 32 kbit block's on
-  every one). Products of at most _FFT_FRESH_POINTS points, one block
-  each way, take new arrays of at most 64 KiB, which the heap serves
-  from memory that is likely still cached: kept ones had gone cold
-  between calls in the benchmark loop, and cost the 8 kbit block about
-  15 %. No numpy transform exceeds F points, so numpy's own
-  per-transform scratch of 8 F bytes is bounded too.
+  after it. A call holds 2 nx + 1 spectra of F / 2 + 1 complex values
+  and one real array of F points, that is about 32 bytes per input bit
+  plus 32 F bytes, however long the output. No numpy transform exceeds
+  F points, so numpy's own per-transform scratch of 8 F bytes is
+  bounded too.
 
 Memory of the byte tables. E takes 256 * width bytes, about 32 L: 264
 KB for the (3,111, 5,081) block and 1 MB for the 32 kbit one, and a
-gathered chunk at most _BYTES_CHUNK_BYTES = 512 KiB. Both are above
-glibc's 128 KiB mmap threshold, so, like the FFT's work arrays, they
-are kept per thread in the same store and under the same _KEPT_BYTES
-bound, and take no page faults once they have grown to a shape.
+gathered chunk at most _BYTES_CHUNK_BYTES = 512 KiB.
+
+Kept arrays. The FFT's work arrays, the byte tables' table and gather
+chunk, and the chained MAC's block matrix (filled by
+handshake.mac._message_blocks) belong to the calling thread
+(threading.local, _kept) and are reused by its next call. When a
+product or a chained MAC returns, they are all dropped if together they
+pass _KEPT_BYTES, which the 2.1 MB matrix of a 256 KB tag and the
+1.5 MB of the 32 kbit block's byte tables do not. Allocated per call,
+arrays of 128 KiB and more, above glibc's mmap threshold, took fresh
+pages on many calls, depending on what the process had allocated
+before: the 32 kbit block's FFT arrays on every one, the 256 KB tag's
+matrix on every call or on none. Kept, they take no page faults once
+they have grown to a shape.
 
 Error bound of the FFT path. Each coefficient is an integer between 0
 and K. A float64 FFT convolution of w and x has error at most of order
@@ -95,9 +94,10 @@ coefficient is the inverse transform of a frequency-domain sum of nx
 products. The transforms contribute e * log2 F * sum over v of
 |w_v|_2 * |x_v|_2, and summing the nx products adds at most
 (nx - 1) * e * sum over v of |w_v|_2 * |x_v|_2 (Cauchy-Schwarz and
-Parseval). With 0/1 entries, |w_v|_2 * |x_v|_2 <= sqrt(2c * c), so the
-sum over v is at most sqrt(2) * nx * c < sqrt(2) * (K + F); one block
-each way gives sqrt(L * K) <= F. With K <= 2**26, F <= 2**19 and
+Parseval). With 0/1 entries and squares of c = F / 2,
+|w_v|_2 * |x_v|_2 <= sqrt(2c * c), so the sum over v is at most
+sqrt(2) * nx * c < sqrt(2) * (K + F); one block each way gives
+sqrt(L * K) <= F. With K <= 2**26, F <= 2**19 and
 c >= 2**13 (nx <= 2**13 + 1), the error is below
 (19 + 2**13) * 2**-53 * 2**27 < 2**-12, far below 0.25, so rounding
 each coefficient to the nearest integer recovers it exactly. The bound
@@ -230,11 +230,8 @@ _FFT_US_PER_FRESH_POINT = 0.008
 # transform of a smaller block) up to _FFT_MAX_POINTS
 _FFT_HEAP_POINTS = 1 << 14
 _FFT_MAX_POINTS = 1 << 19
-# FFT products of transforms up to _FFT_FRESH_POINTS points take new
-# arrays of at most 64 KiB each; a thread keeps the work arrays of
-# larger ones and of byte-table products between calls, up to
-# _KEPT_BYTES in all
-_FFT_FRESH_POINTS = 1 << 13
+# a thread keeps its kernel work arrays between calls up to this many
+# bytes in all
 _KEPT_BYTES = 1 << 22
 # rows of a byte-table product gathered per step, in bytes
 _BYTES_CHUNK_BYTES = 1 << 19
@@ -333,15 +330,14 @@ def _bytes(d: int, xr: int, k: int, m: int) -> int:
     return int.from_bytes(acc.tobytes(), "little") & ((1 << m) - 1)
 
 
-# this thread's work arrays for FFT products of more than
-# _FFT_FRESH_POINTS points and for byte-table products, kept from call
-# to call (see _kept)
+# this thread's work arrays for FFT and byte-table products and its
+# chained-MAC block matrix, kept from call to call (see _kept)
 _WORK = threading.local()
 
 
 def _kept(name: str, size: int, dtype) -> np.ndarray:
     """The first `size` items of this thread's kept array `name`, which
-    grows when too small."""
+    grows when too small; _trim_work may drop it as a call returns."""
     array = getattr(_WORK, name, None)
     if array is None or array.size < size:
         array = np.empty(size, dtype)
@@ -391,13 +387,9 @@ def _fft_convolve(a: list, x: list, size: int) -> np.ndarray:
     """Sum over s of the circular convolutions of `size` points whose
     rfft spectra are a[s] and x[s], in float64.
 
-    One product of at most _FFT_FRESH_POINTS points and its inverse
-    transform are new arrays. Otherwise the sum is taken in a[-1], which
-    it overwrites, and the other products and the inverse use the
-    thread's work arrays.
+    The sum is taken in a[-1], which it overwrites; the other products
+    and the inverse transform use the thread's work arrays.
     """
-    if len(x) == 1 and size <= _FFT_FRESH_POINTS:
-        return np.fft.irfft(a[0] * x[0], size)
     _, _, term, real = _work_arrays(size, len(x))
     acc = a[-1]
     acc *= x[-1]
@@ -418,10 +410,13 @@ def _parities(coeffs: np.ndarray) -> bytes | None:
 
 
 def _fft(d: int, xr: int, k: int, m: int) -> int | None:
-    """Block product from float64 FFTs; None if the guard fails."""
+    """Block product from float64 FFTs by the 2-D overlap-save in the
+    module docstring; None if the guard fails."""
     fft = np.fft  # first use imports numpy.fft
     length = k + m - 1
     points = _fft_plan(k, m)[0]
+    cx, cy = (k, m) if length <= points else (points // 2,) * 2
+    nx, ny = -(-k // cx), -(-m // cy)
     # a[t], bit length - 1 - t of d, is bit off + t of d's bytes read
     # MSB first; x[j], bit j of xr, is bit j of its bytes read LSB first
     nbytes = (length + 7) // 8
@@ -429,44 +424,13 @@ def _fft(d: int, xr: int, k: int, m: int) -> int | None:
     off = 8 * nbytes - length
     x = np.unpackbits(np.frombuffer(xr.to_bytes((k + 7) // 8, "little"),
                                     np.uint8), count=k, bitorder="little")
-    if length <= points:
-        # one block each way
-        a = np.unpackbits(dbytes)[off:]
-        if points <= _FFT_FRESH_POINTS:
-            spectra = [fft.rfft(a, points)], [fft.rfft(x, points)]
-        else:
-            xs, ring, _, real = _work_arrays(points, 1)
-            real[:length] = a
-            fft.rfft(real[:length], points, out=ring[0])
-            real[:k] = x
-            fft.rfft(real[:k], points, out=xs[0])
-            spectra = ring, xs
-        y = _fft_convolve(*spectra, points)
-        packed = [_parities(y[k - 1:length])]
-        _trim_work()
-    else:
-        packed = _blocked_fft(dbytes, off, x, k, m, points)
-    if None in packed:
-        return None
-    return int.from_bytes(b"".join(packed), "big") >> (-m % 8)
-
-
-def _blocked_fft(dbytes: np.ndarray, off: int, x: np.ndarray, k: int,
-                 m: int, points: int) -> list:
-    """Packed parities of the output blocks of c = points / 2 rows, up
-    to the first whose guard fails (None), by the 2-D overlap-save in
-    the module docstring."""
-    fft = np.fft
-    length = k + m - 1
-    c = points // 2
-    nx, ny = -(-k // c), -(-m // c)
     xs, ring, _, real = _work_arrays(points, nx)
 
     def window(delta):
-        # diagonals base .. base + 2c - 2, which output block u meets
-        # in input block u - delta, into ring slot delta mod nx
-        base = k - c + delta * c
-        lo, hi = max(base, 0), min(base + 2 * c - 1, length)
+        # diagonals base .. base + cx + cy - 2, which output block u
+        # meets in input block u - delta, into ring slot delta mod nx
+        base = k - cx + delta * cx
+        lo, hi = max(base, 0), min(base + cx + cy - 1, length)
         first = off + lo
         bits = np.unpackbits(dbytes[first // 8:(off + hi + 7) // 8])
         real[:lo - base] = 0
@@ -476,7 +440,7 @@ def _blocked_fft(dbytes: np.ndarray, off: int, x: np.ndarray, k: int,
     packed = []
     try:
         for v in range(nx):
-            block = x[v * c:(v + 1) * c]
+            block = x[v * cx:(v + 1) * cx]
             real[:block.size] = block
             fft.rfft(real[:block.size], points, out=xs[v])
         for delta in range(1 - nx, 0):
@@ -487,12 +451,12 @@ def _blocked_fft(dbytes: np.ndarray, off: int, x: np.ndarray, k: int,
             # block, so the sum may overwrite it
             y = _fft_convolve([ring[(u - v) % nx] for v in range(nx)], xs,
                               points)
-            packed.append(_parities(y[c - 1:c - 1 + min(c, m - u * c)]))
+            packed.append(_parities(y[cx - 1:cx - 1 + min(cy, m - u * cy)]))
             if packed[-1] is None:
-                break
+                return None
     finally:
         _trim_work()
-    return packed
+    return int.from_bytes(b"".join(packed), "big") >> (-m % 8)
 
 
 @functools.lru_cache(maxsize=_FORM_CACHE_SHAPES)
@@ -511,15 +475,13 @@ def _fft_plan(k: int, m: int) -> tuple[int, float]:
     best = None
     for bits in range(low, top + 1):
         points = 1 << bits
-        if length <= points:
-            nx = ny = 1
-        else:
-            nx, ny = -(-k // (points // 2)), -(-m // (points // 2))
+        c = points // 2
+        nx, ny = (1, 1) if length <= points else (-(-k // c), -(-m // c))
         beyond = points > _FFT_CACHE_POINTS
-        # nx spectra of x, nx + ny - 1 of windows and ny inverses (one
-        # of each way for a single block); the first spectrum product of
-        # each inverse is priced with it, the other nx - 1 apart
-        transforms = 3 if nx == ny == 1 else 2 * (nx + ny) - 1
+        # nx spectra of x, nx + ny - 1 of windows and ny inverses; the
+        # first spectrum product of each inverse is priced with it, the
+        # other nx - 1 apart
+        transforms = 2 * (nx + ny) - 1
         per_point = _FFT_US_PER_POINT_LOG[beyond] * bits
         if points > _FFT_HEAP_POINTS:
             per_point += _FFT_US_PER_FRESH_POINT
@@ -697,4 +659,7 @@ def chained_mac(columns: np.ndarray, blocks: np.ndarray,
     if blocks.shape[1] != columns.size:
         raise ValueError(f"blocks of {blocks.shape[1]} bits do not match "
                          f"{columns.size} hash columns")
-    return _fold(_block_products(columns, blocks), t, taps)
+    state = _fold(_block_products(columns, blocks), t, taps)
+    # blocks may be a kept array (handshake.mac._message_blocks)
+    _trim_work()
+    return state

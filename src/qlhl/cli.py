@@ -162,8 +162,7 @@ def _cmd_bootstrap_plan(args: argparse.Namespace) -> int:
     x1 = _read_spec(args.x1)
     x2 = _read_spec(args.x2)
     swapped = False
-    if not args.no_swap and x2.length < x1.length - 1 \
-            and x1.length >= x2.length - 1:
+    if not args.no_swap and x2.length < x1.length - 1:
         # seed material must reach input length minus one; when the
         # given roles cannot, the longer source becomes the seed
         x1, x2 = x2, x1

@@ -20,7 +20,7 @@ and the other key are known.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .bits import BitString, concat, truncate, xor
@@ -177,6 +177,25 @@ def _settle_length(report: BoundReport, requested: Optional[int],
     return length
 
 
+def _extract_combined(seed: BitString, input_bits: BitString, length: int,
+                      report: BoundReport, label: str, kind: EntropyKind,
+                      keys: Sequence[tuple[SourceSpec, float]]
+                      ) -> CombineResult:
+    """Extract `length` bits, describe them as a fully secure source and
+    give what each key (spec, residual target), named key1, key2, ...,
+    retains once they are published."""
+    params = ExtractorParams.modified(len(input_bits), length)
+    output = extract_fast(SeededHash(params, seed), input_bits)
+    # a loop, not a comprehension, which on CPython 3.11 is one more call:
+    # about 1 us of a 25-45 us combine of 300-bit keys
+    residuals = {}
+    for i, (spec, target) in enumerate(keys, 1):
+        residuals[f"key{i}"] = residual_after_reveal(spec, length, target)
+    return CombineResult(
+        output=output, report=report, residuals=residuals,
+        out_spec=SourceSpec(label, length, length, report.out_eps, kind))
+
+
 def combine_private(req: CombineRequest) -> CombineResult:
     """Mix two keys using their own leading portions as the seed.
 
@@ -211,17 +230,9 @@ def combine_private(req: CombineRequest) -> CombineResult:
                                 spec1.eps, spec2.eps, req.eps_hash,
                                 req.lambda1, req.lambda2, kind=kind)
     length = _settle_length(report, req.requested_len, part.input_len)
-    params = ExtractorParams.modified(part.input_len, length)
-    output = extract_fast(SeededHash(params, seed), input_bits)
-    out_spec = SourceSpec(label=f"mix({spec1.label},{spec2.label})",
-                          length=length, hmin=length, eps=report.out_eps,
-                          kind=kind)
-    residuals = {
-        "key1": residual_after_reveal(spec1, length, req.lambda1),
-        "key2": residual_after_reveal(spec2, length, req.lambda2),
-    }
-    return CombineResult(output=output, out_spec=out_spec, report=report,
-                         residuals=residuals)
+    return _extract_combined(seed, input_bits, length, report,
+                             f"mix({spec1.label},{spec2.label})", kind,
+                             [(spec1, req.lambda1), (spec2, req.lambda2)])
 
 
 _REVEAL_ALLOWING_CASES = (ThreatCase.CONTROLLED_KEY, ThreatCase.REVEALED_KEY,
@@ -265,17 +276,10 @@ def combine_public(req: CombineRequest) -> CombineResult:
         caps = [req.spec1.length - req.lambda1,
                 req.spec2.length - req.lambda2]
     length = _settle_length(report, req.requested_len, len(input_bits), caps)
-    params = ExtractorParams.modified(len(input_bits), length)
-    output = extract_fast(SeededHash(params, req.seed), input_bits)
-    out_spec = SourceSpec(label=f"mix({req.spec1.label},{req.spec2.label})",
-                          length=length, hmin=length, eps=report.out_eps,
-                          kind=kind)
-    residuals = {
-        "key1": residual_after_reveal(req.spec1, length, req.lambda1),
-        "key2": residual_after_reveal(req.spec2, length, req.lambda2),
-    }
-    return CombineResult(output=output, out_spec=out_spec, report=report,
-                         residuals=residuals)
+    return _extract_combined(req.seed, input_bits, length, report,
+                             f"mix({req.spec1.label},{req.spec2.label})",
+                             kind, [(req.spec1, req.lambda1),
+                                    (req.spec2, req.lambda2)])
 
 
 def combine_public_many(keys: Sequence[tuple[BitString, SourceSpec]],
@@ -311,14 +315,8 @@ def combine_public_many(keys: Sequence[tuple[BitString, SourceSpec]],
         [spec.length for _, spec in keys], [spec.eps for _, spec in keys],
         eps_seed, eps_hash, reveal_allowed, kind=kind)
     length = _settle_length(report, requested_len, len(input_bits))
-    params = ExtractorParams.modified(len(input_bits), length)
-    output = extract_fast(SeededHash(params, seed), input_bits)
-    out_spec = replace(combined_spec, label="mix", length=length,
-                       hmin=float(length), eps=report.out_eps)
-    residuals = {f"key{i + 1}": residual_after_reveal(spec, length)
-                 for i, (_, spec) in enumerate(keys)}
-    return CombineResult(output=output, out_spec=out_spec, report=report,
-                         residuals=residuals)
+    return _extract_combined(seed, input_bits, length, report, "mix", kind,
+                             [(spec, 0.0) for _, spec in keys])
 
 
 def xor_vs_extractor_report(spec1: SourceSpec, spec2: SourceSpec,

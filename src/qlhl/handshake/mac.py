@@ -29,7 +29,6 @@ b = n - 2t + 1, so the key must be longer than twice the tag.
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -147,35 +146,29 @@ def _toeplitz_columns(seed: int, t: int, b: int) -> np.ndarray:
 # framed bytes unpacked per step into the block matrix; each step's
 # 8-bits-a-byte temporary stays below glibc's 128 KiB mmap threshold
 _UNPACK_CHUNK_BYTES = 16000
-# a thread keeps its block matrix between calls up to this many bytes
-_BLOCKS_KEPT_BYTES = 1 << 22
-# this thread's block matrix (attribute `bits`), kept from call to call
-_BLOCKS = threading.local()
 
 
 def _message_blocks(framed: bytes, b: int) -> np.ndarray:
     """The framed bits, MSB first and zero-padded to whole blocks, as an
     (nblocks, b) 0/1 uint8 matrix.
 
-    The matrix is a view of an array the calling thread keeps while it
-    is at most _BLOCKS_KEPT_BYTES, and is valid until the thread's next
-    call. Allocated per call, the 2 MB matrix of a 256 KB message took
-    fresh pages on every call or on none, depending on what the process
-    had allocated before; kept, it never does.
+    The matrix is a view of the calling thread's kept array "blocks" in
+    the kernels' store (_kernels._kept), valid until the thread's next
+    call; `_kernels.chained_mac` drops the store as it returns if its
+    arrays pass _kernels._KEPT_BYTES. Allocated per call, the 2 MB
+    matrix of a 256 KB message took fresh pages on every call or on
+    none, depending on what the process had allocated before; kept, it
+    never does.
     """
     data = np.frombuffer(framed, dtype=np.uint8)
     nblocks = -(-data.size * 8 // b)
     size = nblocks * b
-    bits = getattr(_BLOCKS, "bits", None)
-    if bits is None or bits.size < size:
-        bits = np.empty(size, dtype=np.uint8)
-        if bits.nbytes <= _BLOCKS_KEPT_BYTES:
-            _BLOCKS.bits = bits
+    bits = _kernels._kept("blocks", size, np.uint8)
     for start in range(0, data.size, _UNPACK_CHUNK_BYTES):
         chunk = data[start:start + _UNPACK_CHUNK_BYTES]
         bits[8 * start:8 * (start + chunk.size)] = np.unpackbits(chunk)
     bits[8 * data.size:size] = 0
-    return bits[:size].reshape(nblocks, b)
+    return bits.reshape(nblocks, b)
 
 
 def transcript_mac(fk: BitString, message: bytes, tag_len: int) -> BitString:

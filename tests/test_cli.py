@@ -188,6 +188,17 @@ def test_bootstrap_plan_swaps_only_when_needed(tmp_path, capsys):
                  "--x2", str(tmp_path / "x2.kv"), "--out-len", "128",
                  "--eps", "2^-64", "--no-swap"]) == 1
     capsys.readouterr()
+    # the edge: x2 one bit shorter than x1 still seeds it; two bits
+    # shorter it cannot, and the roles swap
+    for x2_len, swapped in ((1023, "false"), (1022, "true")):
+        _write_spec(tmp_path / "x1.kv", "x1", 1024, 1000)
+        _write_spec(tmp_path / "x2.kv", "x2", x2_len, 1000)
+        assert main(["bootstrap", "plan", "--x1", str(tmp_path / "x1.kv"),
+                     "--x2", str(tmp_path / "x2.kv"), "--out-len", "128",
+                     "--eps", "2^-64", "--out", str(plan_path)]) == 0
+        capsys.readouterr()
+        doc = kv_parse(plan_path.read_text())
+        assert doc["roles_swapped"] == swapped, x2_len
 
 
 def test_bootstrap_plan_infeasible_exit_code(tmp_path, capsys):

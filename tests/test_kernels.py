@@ -400,10 +400,9 @@ def test_fft_products_in_threads_match_exact_form():
 
 
 def test_fft_work_arrays_are_reused_and_bounded(monkeypatch):
-    # a thread keeps the work arrays of blocked products while they fit
-    # the bound, reuses them for a repeated shape, leaves them to
-    # one-transform products, which take new arrays, and drops them
-    # after a product whose arrays pass the bound
+    # a thread keeps the work arrays of every FFT product, one transform
+    # or blocked, while they fit the bound, reuses them for shapes they
+    # fit, and drops them after a product whose arrays pass the bound
     monkeypatch.setattr(_kernels, "_KEPT_BYTES", 1 << 21)
     work = vars(_kernels._WORK)   # this thread's kept arrays
     work.clear()
@@ -420,10 +419,10 @@ def test_fft_work_arrays_are_reused_and_bounded(monkeypatch):
         kept.append((size > 0,
                      spectra is not None and work.get("spectra") is spectra))
     assert kept == [
-        (False, False),   # one 8,192-point transform: new arrays
+        (True, False),    # one 8,192-point transform: new, kept
         (True, False),    # the 32 kbit block in 16,384-point transforms
         (True, True),     # the same shape again reuses them
-        (True, True),     # one 2,048-point transform leaves them alone
+        (True, True),     # one 2,048-point transform reuses them
         (False, False),   # a 100 kbit block passes the bound: dropped
         (True, False),    # a 40 kbit block keeps new ones
         (True, True),     # one 16,384-point transform reuses them

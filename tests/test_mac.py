@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from qlhl import _kernels
 from qlhl.bits import BitString
 from qlhl.handshake import mac
 from qlhl.handshake.mac import (_GALOIS_TAPS, MacKey, _toeplitz_columns,
@@ -261,16 +262,50 @@ def test_message_blocks_match_one_unpack_across_chunks():
 
 
 def test_message_blocks_are_kept_and_bounded(monkeypatch):
-    # a thread reuses its block matrix, and a matrix above the bound is
-    # made for its call alone
-    monkeypatch.setattr(mac, "_BLOCKS_KEPT_BYTES", 1 << 16)
-    vars(mac._BLOCKS).clear()
+    # the block matrix is the kernels' kept array "blocks": a thread
+    # reuses it, and a tag whose arrays pass the shared bound drops the
+    # whole store as it returns
+    monkeypatch.setattr(_kernels, "_KEPT_BYTES", 1 << 16)
+    work = vars(_kernels._WORK)   # this thread's kept arrays
+    work.clear()
     first = mac._message_blocks(bytes(1000), 385)
+    assert np.shares_memory(first, work["blocks"])
     assert np.shares_memory(first, mac._message_blocks(bytes(900), 385))
-    big = mac._message_blocks(bytes(10000), 385)   # 80 KB of bits
-    assert not np.shares_memory(big, first)
-    assert np.shares_memory(first, mac._message_blocks(bytes(900), 385))
-    assert mac._BLOCKS.bits.nbytes <= 1 << 16
+    fk = BitString.from_u8(np.random.default_rng(50).integers(
+        0, 2, 512, dtype=np.uint8))   # 385-bit blocks, 64-bit tags
+    transcript_mac(fk, bytes(1000), 64)
+    assert np.shares_memory(first, work["blocks"])
+    transcript_mac(fk, bytes(10000), 64)   # 80 KB of bits
+    assert not work
+    transcript_mac(fk, bytes(900), 64)
+    assert 0 < work["blocks"].nbytes <= 1 << 16
+
+
+def test_tag_after_byte_table_product_keeps_both():
+    # auth's 256 KB tag (a 5,448 x 385-bit matrix, 2.1 MB) after the
+    # 32 kbit byte-table product (1.5 MB of table and gather chunk)
+    # stays under the shared bound, so neither drops the other's arrays
+    work = vars(_kernels._WORK)
+    work.clear()
+    rng = np.random.default_rng(51)
+    k, m = 17276, 15492
+    d = int.from_bytes(rng.bytes((k + m - 1 + 7) // 8), "big")
+    d >>= -(k + m - 1) % 8
+    xr = int.from_bytes(rng.bytes((k + 7) // 8), "big") >> (-k % 8)
+    want = _kernels._columns(d, xr, k, m)
+    fk = BitString.from_u8(rng.integers(0, 2, 512, dtype=np.uint8))
+    message = rng.integers(0, 256, 1 << 18, dtype=np.uint8).tobytes()
+    tag = transcript_mac(fk, message, 64)
+    assert _kernels._bytes(d, xr, k, m) == want
+    table, gather = work["table"], work["gather"]
+    assert transcript_mac(fk, message, 64) == tag
+    blocks = work["blocks"]
+    assert blocks.nbytes >= 5448 * 385
+    assert _kernels._bytes(d, xr, k, m) == want
+    assert transcript_mac(fk, message, 64) == tag
+    assert work["table"] is table and work["gather"] is gather
+    assert work["blocks"] is blocks
+    assert sum(a.nbytes for a in work.values()) <= _kernels._KEPT_BYTES
 
 
 def test_transcript_mac_in_threads_matches_one_thread():
