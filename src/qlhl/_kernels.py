@@ -75,17 +75,17 @@ KB for the (3,111, 5,081) block and 1 MB for the 32 kbit one, and a
 gathered chunk at most _BYTES_CHUNK_BYTES = 512 KiB.
 
 Kept arrays. The FFT's work arrays, the byte tables' table and gather
-chunk, and the chained MAC's block matrix (filled by
-handshake.mac._message_blocks) belong to the calling thread
-(threading.local, _kept) and are reused by its next call. When a
+chunk, and the chained MAC's packed block matrix and padded message
+bytes (filled by handshake.mac._message_blocks) belong to the calling
+thread (threading.local, _kept) and are reused by its next call. When a
 product or a chained MAC returns, they are all dropped if together they
-pass _KEPT_BYTES, which the 2.1 MB matrix of a 256 KB tag and the
-1.5 MB of the 32 kbit block's byte tables do not. Allocated per call,
-arrays of 128 KiB and more, above glibc's mmap threshold, took fresh
-pages on many calls, depending on what the process had allocated
-before: the 32 kbit block's FFT arrays on every one, the 256 KB tag's
-matrix on every call or on none. Kept, they take no page faults once
-they have grown to a shape.
+pass _KEPT_BYTES, which the 267 KB matrix and 262 KB of bytes of a
+256 KB tag (611 KB and 600 KB for a 600,000-byte one) and the 1.5 MB of
+the 32 kbit block's byte tables do not. Allocated per call, arrays of
+128 KiB and more, above glibc's mmap threshold, took fresh pages on many
+calls, depending on what the process had allocated before: the 32 kbit
+block's FFT arrays and the 256 KB tag's padded bytes on every one. Kept,
+they take no page faults once they have grown to a shape.
 
 Error bound of the FFT path. Each coefficient is an integer between 0
 and K. A float64 FFT convolution of w and x has error at most of order
@@ -154,15 +154,17 @@ work arrays, where one 2**20-point transform grew the peak RSS by
 about 37 MB and was no faster.
 
 Chained MAC. The t x b hash rows arrive as their b columns, each a t-bit
-int with row i at bit i (a uint64 array), and the message blocks as a
-0/1 uint8 matrix of shape (nblocks, b). For each byte k of a block a
-256-entry table holds, at index v, the xor of the columns 8k + p whose
-bit p is set in v: the LSB-first order of np.packbits(...,
-bitorder="little"). The tables are built from two 16-entry nibble tables
-per byte, joined by one broadcast xor; they take 2 KB per byte of block
-width (about 100 KB for a 512-bit key). A block's product with the rows
-is the xor over its packed bytes of one table entry each, gathered a
-fixed chunk of blocks at a time into one uint64 array of products.
+int with row i at bit i (a uint64 array), and the message blocks as
+their bytes, a uint8 matrix of shape (nblocks, ceil(b / 8)) with each
+block's b bits packed MSB first (handshake.mac._message_blocks). For
+each byte k of a block a 256-entry table holds, at index v, the xor of
+the columns 8k + p whose bit 7 - p is set in v. Columns from b on are
+zero, so the bits past b in a block's last byte add nothing. The tables
+are built from two 16-entry nibble tables per byte, joined by one
+broadcast xor; they take 2 KB per byte of block width (about 100 KB for
+a 512-bit key). A block's product with the rows is the xor over its
+bytes of one table entry each, gathered a fixed chunk of blocks at a
+time into one uint64 array of products.
 
 The products are then folded into the state without a loop per block.
 With p = x**t + taps, one Galois step is multiplication by x mod p, so
@@ -196,7 +198,7 @@ HAS_NUMBA = False
 
 # a coefficient this far from an integer means the FFT lost precision
 _ROUNDING_GUARD = 0.25
-# message blocks packed and looked up per step of the chained MAC
+# message blocks looked up per step of the chained MAC
 _MAC_CHUNK_BLOCKS = 256
 # block products folded into the chained-MAC state per step
 _MAC_FOLD_BLOCKS = 4096
@@ -331,7 +333,7 @@ def _bytes(d: int, xr: int, k: int, m: int) -> int:
 
 
 # this thread's work arrays for FFT and byte-table products and its
-# chained-MAC block matrix, kept from call to call (see _kept)
+# chained-MAC block matrix and message bytes, kept from call to call
 _WORK = threading.local()
 
 
@@ -545,37 +547,36 @@ def matvec_bits(modified: bool, seed: int, n: int, m: int, x: int) -> int:
 def _byte_tables(columns: np.ndarray) -> np.ndarray:
     """Per-byte lookup tables of the hash columns, as (nbytes * 256,) uint64.
 
-    Entry [256 k + v] is the GF(2) sum of columns 8k + p over the bits p
-    set in v, LSB first.
+    Entry [256 k + v] is the GF(2) sum of columns 8k + p over the bits
+    7 - p set in v, MSB first; columns from b on are zero.
     """
     b = columns.size
     nbytes = (b + 7) // 8
     cols = np.zeros(8 * nbytes, dtype=np.uint64)
     cols[:b] = columns
     # nibble tables, entry u on axis 0: nib[u, 2k + h] sums column
-    # 8k + 4h + q over the bits q set in u, built by 4 doubling steps
-    quads = cols.reshape(2 * nbytes, 4).T
+    # 8k + 4h + 3 - q over the bits q set in u, built by 4 doubling steps
+    quads = cols.reshape(2 * nbytes, 4)[:, ::-1].T
     nib = np.zeros((16, 2 * nbytes), dtype=np.uint64)
     for q in range(4):
         np.bitwise_xor(nib[:1 << q], quads[q], out=nib[1 << q:2 << q])
     # entry v = 16 * high + low of byte k joins its two nibble tables
-    low, high = nib[:, 0::2].T, nib[:, 1::2].T
+    high, low = nib[:, 0::2].T, nib[:, 1::2].T
     return (high[:, :, None] ^ low[:, None, :]).ravel()
 
 
 def _block_products(columns: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Every block's product with the hash rows, as (nblocks,) uint64."""
     tab = _byte_tables(columns)
-    # packed byte k of a block indexes table k of the flattened tables;
-    # the narrowest index type makes the sum and the lookup cheapest
+    # byte k of a block indexes table k of the flattened tables; the
+    # narrowest index type makes the sum and the lookup cheapest
     base = np.arange(0, tab.size, 256, dtype=np.min_scalar_type(tab.size))
     products = np.empty(blocks.shape[0], dtype=np.uint64)
     for start in range(0, blocks.shape[0], _MAC_CHUNK_BLOCKS):
-        stop = start + _MAC_CHUNK_BLOCKS
-        packed = np.packbits(blocks[start:stop], axis=1, bitorder="little")
+        index = blocks[start:start + _MAC_CHUNK_BLOCKS] + base
         # every index is in range, and "clip" skips numpy's bounds check
-        np.bitwise_xor.reduce(tab.take(packed + base, mode="clip"), axis=1,
-                              out=products[start:stop])
+        np.bitwise_xor.reduce(tab.take(index, mode="clip"), axis=1,
+                              out=products[start:start + index.shape[0]])
     return products
 
 
@@ -622,7 +623,8 @@ def _fold(products: np.ndarray, t: int, taps: int) -> int:
         poly = np.zeros(words + 1, dtype=np.uint64)
         poly[:words] = np.bitwise_xor.reduce(values >> _FOLD_RIGHT, axis=1)
         poly[1:] ^= np.bitwise_xor.reduce(values << _FOLD_LEFT, axis=1)
-        bits = np.unpackbits(poly.astype(">u8").view(np.uint8))
+        # P's bits, MSB first: word w's bit 63 - g at 64 w + g
+        bits = ((poly[:, None] >> _FOLD_LEFT) & np.uint64(1)).ravel()
         state = int(np.bitwise_xor.reduce(powers[powers.size - bits.size:]
                                           * bits))
     return state
@@ -647,7 +649,8 @@ def chained_mac(columns: np.ndarray, blocks: np.ndarray,
     Args:
         columns: (b,) uint64, column j of the t x b hash rows as a t-bit
             int with row i at bit i.
-        blocks: (nblocks, b) 0/1 uint8 data blocks.
+        blocks: (nblocks, ceil(b / 8)) uint8 data blocks, each block's
+            b bits packed MSB first; bits past b are ignored.
         t: state width in bits, at most 64.
         taps: feedback bit mask, bit i for the x**i coefficient.
 
@@ -656,8 +659,8 @@ def chained_mac(columns: np.ndarray, blocks: np.ndarray,
     """
     if not 0 < t <= 64:
         raise ValueError("state width must be 1..64 bits")
-    if blocks.shape[1] != columns.size:
-        raise ValueError(f"blocks of {blocks.shape[1]} bits do not match "
+    if blocks.shape[1] != (columns.size + 7) // 8:
+        raise ValueError(f"blocks of {blocks.shape[1]} bytes do not match "
                          f"{columns.size} hash columns")
     state = _fold(_block_products(columns, blocks), t, taps)
     # blocks may be a kept array (handshake.mac._message_blocks)

@@ -101,8 +101,8 @@ def qlhl_basic(hmin_input: Number, eps_smooth: SecurityLevel,
         Report with max_output_len = floor(hmin_input - 2*log2(1/eps_hash)
         + 2) and out_eps = eps_smooth + eps_hash.
     """
-    if hmin_input < 0:
-        raise ValueError("hmin_input must be >= 0")
+    if not 0 <= hmin_input < math.inf:
+        raise ValueError("hmin_input must be finite and >= 0")
     penalty = 2.0 * eps_hash.neg_log2
     raw = hmin_input - penalty + 2.0
     terms = {"hmin_input": float(hmin_input), "seed_penalty": 0.0,
@@ -128,8 +128,8 @@ def qlhl_weak_seed_penalized(hmin_input: Number, eps_smooth: SecurityLevel,
     """
     if hmin_seed > seed_len:
         raise ValueError("hmin_seed must not exceed seed_len")
-    if hmin_input < 0 or hmin_seed < 0:
-        raise ValueError("entropies must be >= 0")
+    if not (0 <= hmin_input < math.inf and 0 <= hmin_seed < math.inf):
+        raise ValueError("entropies must be finite and >= 0")
     seed_penalty = 2.0 * (hmin_seed - seed_len)
     penalty = 2.0 * eps_target.neg_log2
     raw = hmin_input + seed_penalty - penalty + 2.0
@@ -153,8 +153,8 @@ def qlhl_general(hmin_input: Number, eps_input: SecurityLevel,
     """
     if hmin_seed > seed_len:
         raise ValueError("hmin_seed must not exceed seed_len")
-    if hmin_input < 0 or hmin_seed < 0:
-        raise ValueError("entropies must be >= 0")
+    if not (0 <= hmin_input < math.inf and 0 <= hmin_seed < math.inf):
+        raise ValueError("entropies must be finite and >= 0")
     seed_penalty = float(hmin_seed - seed_len)
     penalty = 2.0 * eps_hash.neg_log2
     raw = hmin_input + seed_penalty - penalty + 2.0
@@ -190,8 +190,8 @@ def combine_case_bound(case: ThreatCase, len1: int, len2: int,
     """
     if len1 < 1 or len2 < 1:
         raise ValueError("key lengths must be >= 1")
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("lambdas must be >= 0")
+    if not (0 <= lambda1 < math.inf and 0 <= lambda2 < math.inf):
+        raise ValueError("lambdas must be finite and >= 0")
     total = len1 + len2
     penalty = 2.0 * eps_hash.neg_log2
     out_eps = eps1 + eps1 + eps2 + eps2 + eps_hash

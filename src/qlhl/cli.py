@@ -684,7 +684,8 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=_cmd_handshake_simulate)
 
-    mac = top.add_parser("mac", help="one-shot ITS authentication")
+    mac = top.add_parser("mac", help="one-shot hash-then-pad MAC; bounds "
+                         "impersonation only, not substitution")
     msub = mac.add_subparsers(dest="mac_step", required=True,
                               parser_class=_Parser)
     p = msub.add_parser("auth", help="tag a message with a fresh key")

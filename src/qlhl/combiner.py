@@ -20,6 +20,7 @@ and the other key are known.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -88,6 +89,9 @@ class CombineRequest:
             raise ValueError("key2 length disagrees with spec2")
         if self.revealed_key not in (None, 1, 2):
             raise ValueError("revealed_key must be None, 1 or 2")
+        if not (0 <= self.lambda1 < math.inf
+                and 0 <= self.lambda2 < math.inf):
+            raise ValueError("lambdas must be finite and >= 0")
 
 
 class RevealResidual(NamedTuple):

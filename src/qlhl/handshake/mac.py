@@ -7,8 +7,11 @@ message of n bits and a t-bit tag the key costs n - 1 + t bits.
 Caveat that shapes the chained variant: [T | I] sends a difference
 confined to the last t message bits straight through the identity block,
 so for those differences the one-shot tag difference is fixed rather
-than uniform. The chained MAC therefore routes every data bit through
-the Toeplitz block:
+than uniform: once one tag has been seen, flipping the last message bit
+and the last tag bit forges under every key. The one-shot MAC bounds
+only impersonation, where a fixed (message, tag) is accepted by 2^-t of
+the keys. The chained MAC therefore routes every data bit through the
+Toeplitz block:
 
 - the stream is a 64-bit big-endian bit-length header, the message, and
   zero padding to a block boundary, cut into blocks of b data bits;
@@ -17,10 +20,17 @@ the Toeplitz block:
   absorbs the block: state' = step(state) xor T . block;
 - the tag is the final state xor the pad.
 
-Because the step is invertible, a difference injected into any single
-block reaches the tag unless T itself annihilates it, which over the
-seed happens with probability 2^-t. Differences spread over several
-blocks face the usual chained-hashing bound of (block count) * 2^-t.
+Because the step is invertible, a difference confined to one block
+reaches the tag unless T itself annihilates it, which over the seed
+happens with probability 2^-t. No such bound holds for differences
+spread over several blocks. The step is public and every block meets the
+same T, so a flip at bit j of block k and bit j + 1 of block k + 1 leaves
+a tag difference that depends on about two seed bits: with t = 8 and
+25-bit blocks it collides under about a quarter of the keys, where
+(block count) * 2^-t would allow 8 * 2^-8. Against a forger who has seen
+a tag the chained MAC, like the one-shot one, has no bound yet; a fixed
+(message, tag) is still accepted by 2^-t of the keys, since the pad is
+uniform.
 
 The chained key is a single n-bit block: the first n - t bits seed the
 compression, the last t bits are the pad. Block data width is
@@ -143,32 +153,38 @@ def _toeplitz_columns(seed: int, t: int, b: int) -> np.ndarray:
     return (words.astype(np.uint64) >> np.uint64(64 - t)).ravel()[:b]
 
 
-# framed bytes unpacked per step into the block matrix; each step's
-# 8-bits-a-byte temporary stays below glibc's 128 KiB mmap threshold
-_UNPACK_CHUNK_BYTES = 16000
-
-
 def _message_blocks(framed: bytes, b: int) -> np.ndarray:
-    """The framed bits, MSB first and zero-padded to whole blocks, as an
-    (nblocks, b) 0/1 uint8 matrix.
+    """The framed bits, zero-padded to whole blocks of b bits, as an
+    (nblocks, ceil(b / 8)) uint8 matrix of each block's bytes, MSB first.
 
-    The matrix is a view of the calling thread's kept array "blocks" in
-    the kernels' store (_kernels._kept), valid until the thread's next
-    call; `_kernels.chained_mac` drops the store as it returns if its
-    arrays pass _kernels._KEPT_BYTES. Allocated per call, the 2 MB
-    matrix of a 256 KB message took fresh pages on every call or on
-    none, depending on what the process had allocated before; kept, it
-    never does.
+    With q = b // 8 and e = b mod 8, block k = 8 i + r starts at bit
+    8 (i b + r q) + r e of the framed bytes, so its byte j is bits r e ..
+    r e + 7 of the big-endian 64-bit word at byte i b + r q + j, and
+    r e <= 49 keeps them inside that word. One strided view of those
+    words over (i, r, j), with strides (b, q, 1), and one right shift by
+    56 - r e fill the matrix. The bits past b in a block's last byte are
+    those of the next block, or zero; `_kernels.chained_mac` ignores
+    them.
+
+    The matrix, whose rows are kept for whole groups of 8 blocks, and the
+    zero-padded copy of the framed bytes are views of the calling
+    thread's kept arrays "blocks" and "framed" in the kernels' store
+    (_kernels._kept), valid until the thread's next call;
+    `_kernels.chained_mac` drops the store as it returns if its arrays
+    pass _kernels._KEPT_BYTES. A padded copy allocated per call took 64
+    page faults on every 256 KB tag; kept, it takes none.
     """
-    data = np.frombuffer(framed, dtype=np.uint8)
-    nblocks = -(-data.size * 8 // b)
-    size = nblocks * b
-    bits = _kernels._kept("blocks", size, np.uint8)
-    for start in range(0, data.size, _UNPACK_CHUNK_BYTES):
-        chunk = data[start:start + _UNPACK_CHUNK_BYTES]
-        bits[8 * start:8 * (start + chunk.size)] = np.unpackbits(chunk)
-    bits[8 * data.size:size] = 0
-    return bits.reshape(nblocks, b)
+    width, nblocks = (b + 7) // 8, -(-len(framed) * 8 // b)
+    groups = -(-nblocks // 8)
+    data = _kernels._kept("framed", groups * b + 8, np.uint8)
+    data[:len(framed)] = np.frombuffer(framed, dtype=np.uint8)
+    data[len(framed):] = 0
+    words = np.ndarray((groups, 8, width), ">u8", data, 0, (b, b // 8, 1))
+    blocks = _kernels._kept("blocks", groups * 8 * width,
+                            np.uint8).reshape(groups, 8, width)
+    shifts = 56 - b % 8 * np.arange(8, dtype=np.uint64)[:, None]
+    np.right_shift(words, shifts, out=blocks, casting="unsafe")
+    return blocks.reshape(-1, width)[:nblocks]
 
 
 def transcript_mac(fk: BitString, message: bytes, tag_len: int) -> BitString:
@@ -197,5 +213,9 @@ def transcript_mac(fk: BitString, message: bytes, tag_len: int) -> BitString:
 
 def transcript_mac_verify(fk: BitString, message: bytes,
                           tag: BitString) -> bool:
-    """Check a chained tag computed with the same key."""
+    """Check a chained tag computed with the same key.
+
+    The tag width t is taken from len(tag), so a 1-bit tag is checked as
+    a 1-bit MAC: a caller that expects t bits must check the length.
+    """
     return transcript_mac(fk, message, len(tag)) == tag

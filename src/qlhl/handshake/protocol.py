@@ -391,7 +391,7 @@ class _Party:
             stage, keys, BitString.from_bytes(LABELS[label]), traffic,
             seed, self.params.stage_out_lens(stage), self.cfg.eps_prime)
         self.seed_lens.append(len(seed))
-        self.eps = self.eps + self.cfg.eps_seed + self.cfg.eps_prime
+        self.eps = self.eps + self.cfg.eps_seed + self.params.stage_eps
         self.intermediate.update(zip(names, outs))
         if stage == 4:
             self.finals = Finals(*outs, self.eps, self.consumed_qkd)

@@ -75,6 +75,12 @@ class ScheduleParams:
         """Bits lost to one extraction stage."""
         return 2 * _floor_neg_log2(self.eps_prime) - 2
 
+    @property
+    def stage_eps(self) -> SecurityLevel:
+        """The eps one stage meets, 2^-floor(log2(1/eps')): the level its
+        hash penalty pays for, which a fractional eps' would overstate."""
+        return SecurityLevel(float(_floor_neg_log2(self.eps_prime)))
+
     def stage_out_lens(self, stage: int) -> tuple:
         """Output lengths for one stage, in emission order."""
         lens = self.per_key_lengths

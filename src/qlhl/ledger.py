@@ -77,7 +77,7 @@ class SecurityLevel:
 
     @classmethod
     def from_eps(cls, eps: float) -> "SecurityLevel":
-        if eps < 0 or eps > 1:
+        if not 0 <= eps <= 1:
             raise ValueError(f"eps must be in [0, 1], got {eps}")
         if eps == 0:
             return cls(math.inf)
@@ -221,7 +221,7 @@ def truncate_source(x: SourceSpec, q: int) -> SourceSpec:
 
 def leak(x: SourceSpec, bits_revealed: float) -> SourceSpec:
     """Chain rule: revealing r bits costs at most r bits of min-entropy."""
-    if bits_revealed < 0:
+    if not bits_revealed >= 0:
         raise ValueError("bits_revealed must be >= 0")
     return replace(x, hmin=max(0.0, x.hmin - bits_revealed))
 

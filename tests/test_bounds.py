@@ -1,5 +1,6 @@
 """Tests for output-length bound arithmetic and the alpha key split."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -64,14 +65,37 @@ def test_general_degenerates_to_basic_on_uniform_seed():
 
 
 def test_bounds_reject_bad_arguments():
-    with pytest.raises(ValueError):
-        qlhl_basic(-1, Z, E32)
+    for hmin in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            qlhl_basic(hmin, Z, E32)
     with pytest.raises(ValueError):
         qlhl_weak_seed_penalized(10, Z, seed_len=5, hmin_seed=6,
                                  eps_target=E32)
     with pytest.raises(ValueError):
         qlhl_general(10, Z, hmin_seed=6, eps_seed=Z, seed_len=5,
                      eps_hash=E32)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            qlhl_weak_seed_penalized(bad, Z, seed_len=5, hmin_seed=4,
+                                     eps_target=E32)
+        with pytest.raises(ValueError):
+            qlhl_weak_seed_penalized(10, Z, seed_len=5, hmin_seed=math.nan,
+                                     eps_target=E32)
+        with pytest.raises(ValueError):
+            qlhl_general(bad, Z, hmin_seed=4, eps_seed=Z, seed_len=5,
+                         eps_hash=E32)
+        with pytest.raises(ValueError):
+            qlhl_general(10, Z, hmin_seed=math.nan, eps_seed=Z, seed_len=5,
+                         eps_hash=E32)
+    # a NaN lambda used to drop the residual cap: 194, the lambda = 0
+    # length, where lambda = 100 gives 156
+    args = (ThreatCase.REVEAL_OUTPUT, 256, 256, Z, Z, E32)
+    assert combine_case_bound(*args, lambda1=100).max_output_len == 156
+    for bad in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            combine_case_bound(*args, lambda1=bad)
+        with pytest.raises(ValueError):
+            combine_case_bound(*args, lambda2=bad)
 
 
 def test_case_bound_fixtures():

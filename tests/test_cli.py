@@ -65,6 +65,18 @@ def test_bound_case_fixtures(capsys):
     assert capsys.readouterr().out == "66\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "qlhl", "--hmin", "100", "--eps", "nan"],
+    ["bound", "qlhl", "--hmin", "nan", "--eps", "2^-32"],
+    ["bound", "case", "--case", "reveal-output", "--len1", "256",
+     "--len2", "256", "--eps", "2^-32", "--lambda1", "nan"],
+])
+def test_bound_nan_arguments_exit_1(argv, capsys):
+    # each printed a length and exited 0, or died in math.floor
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_bound_case_controlled_is_infeasible(capsys):
     code = main(["bound", "case", "--case", "controlled", "--len1", "256",
                  "--len2", "256", "--eps", "2^-32"])

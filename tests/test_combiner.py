@@ -1,5 +1,7 @@
 """Tests for secret-key mixing in private- and public-seed modes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ def test_private_combine_requested_len_checked():
     assert len(result.output) == 10
     with pytest.raises(ValueError):
         combine_private(_private_request(rng, requested_len=67))
+
+
+@pytest.mark.parametrize("mode", list(CombineMode))
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_combine_request_rejects_bad_lambdas(mode, bad):
+    # a negative lambda was ignored in public mode, and a NaN one failed
+    # there only on int(nan)
+    rng = np.random.default_rng(36)
+    key1, spec1 = _key(rng, 128, "k1")
+    key2, spec2 = _key(rng, 127, "k2")
+    for lambdas in ({"lambda1": bad}, {"lambda2": bad}):
+        with pytest.raises(ValueError, match="lambdas"):
+            CombineRequest(key1=key1, spec1=spec1, key2=key2, spec2=spec2,
+                           mode=mode, eps_hash=E32,
+                           threat=ThreatCase.REVEAL_OUTPUT, **lambdas)
 
 
 def test_controlled_key_combination_refused():

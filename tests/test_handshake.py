@@ -197,6 +197,19 @@ def test_eps_ledger_accumulates_all_stages():
         pytest.approx(want.neg_log2, rel=1e-12)
 
 
+def test_fractional_eps_prime_charges_the_level_its_penalty_meets():
+    # 2^-16.5 pays the 2^-16 penalty (30 bits a stage, 696 QKD bits), so
+    # each of the four stages charges 2^-16: 2^-14 in all, not 2^-14.5
+    init_cfg, resp_cfg = make_configs(n=64, eps_prime=SecurityLevel(16.5),
+                                      rng_seed=7)
+    result = run_handshake(init_cfg, resp_cfg)
+    assert result.params.hash_penalty == 30
+    assert result.params.stage_eps == E16
+    finals = result.initiator_finals
+    assert finals.consumed_qkd == 696
+    assert finals.out_eps.neg_log2 == 14
+
+
 def test_seed_lengths_are_input_minus_one():
     # stage s hashes its keys, a 64-bit label and the core (seed-emptied)
     # transcript up to m(2s), the message that completes it; its seed is

@@ -451,7 +451,8 @@ def _columns(rows):
 def _check_chained(rng, nblocks, t, b, taps):
     rows = rng.integers(0, 2, (t, b), dtype=np.uint8)
     blocks = rng.integers(0, 2, (nblocks, b), dtype=np.uint8)
-    got = _kernels.chained_mac(_columns(rows), blocks, t, taps)
+    got = _kernels.chained_mac(_columns(rows), np.packbits(blocks, axis=1),
+                               t, taps)
     assert got == _chained_reference(rows, blocks, t, taps), (nblocks, t, b)
 
 
@@ -498,9 +499,10 @@ def test_chained_mac_64_bit_products_with_top_bit_set():
     for nblocks in (63, 64, 65, _FOLD + 3):
         blocks = rng.integers(0, 2, (nblocks, 5), dtype=np.uint8)
         blocks[:, 0] = 1
-        products = _kernels._block_products(_columns(rows), blocks)
+        packed = np.packbits(blocks, axis=1)
+        products = _kernels._block_products(_columns(rows), packed)
         assert (products >> np.uint64(63) != 0).any()
-        got = _kernels.chained_mac(_columns(rows), blocks, 64, 0x1b)
+        got = _kernels.chained_mac(_columns(rows), packed, 64, 0x1b)
         assert got == _chained_reference(rows, blocks, 64, 0x1b), nblocks
 
 
@@ -518,7 +520,7 @@ def test_chained_mac_power_table_does_not_grow_with_the_message():
     rows = rng.integers(0, 2, (64, 3), dtype=np.uint8)
     sizes = []
     for nblocks in (1, _FOLD + 1, 5 * _FOLD):
-        blocks = rng.integers(0, 2, (nblocks, 3), dtype=np.uint8)
+        blocks = rng.integers(0, 256, (nblocks, 1), dtype=np.uint8)
         _kernels.chained_mac(_columns(rows), blocks, 64, 0x1b)
         sizes.append(_kernels._powers_of_x(64, 0x1b).size)
     assert sizes[0] == sizes[1] == sizes[2] < _FOLD + 256
@@ -538,6 +540,26 @@ def test_chained_mac_rejects_bad_state_width():
 
 
 def test_chained_mac_rejects_blocks_wider_than_the_columns():
-    bits = np.zeros((1, 9), dtype=np.uint8)
+    # 8 columns take one byte per block, 9 columns two
+    columns = np.zeros(8, dtype=np.uint64)
     with pytest.raises(ValueError):
-        _kernels.chained_mac(np.zeros(8, dtype=np.uint64), bits, 8, 0x1d)
+        _kernels.chained_mac(columns, np.zeros((1, 2), np.uint8), 8, 0x1d)
+    with pytest.raises(ValueError):
+        _kernels.chained_mac(np.zeros(9, dtype=np.uint64),
+                             np.zeros((1, 1), np.uint8), 8, 0x1d)
+
+
+@pytest.mark.parametrize("b", [1, 5, 8, 13, 385])
+def test_chained_mac_ignores_bits_past_the_block_width(b):
+    # the low 8 * ceil(b / 8) - b bits of a block's last byte meet no
+    # column: setting them all leaves the state as it was
+    rng = np.random.default_rng(b)
+    rows = rng.integers(0, 2, (64, b), dtype=np.uint8)
+    packed = np.packbits(rng.integers(0, 2, (70, b), dtype=np.uint8), axis=1)
+    want = _kernels.chained_mac(_columns(rows), packed, 64, 0x1b)
+    stray = packed.copy()
+    stray[:, -1] |= (1 << (-b % 8)) - 1
+    assert (stray != packed).any() == bool(b % 8)
+    assert _kernels.chained_mac(_columns(rows), stray, 64, 0x1b) == want
+    assert want == _chained_reference(
+        rows, np.unpackbits(packed, axis=1, count=b), 64, 0x1b)

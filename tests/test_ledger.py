@@ -23,6 +23,9 @@ def test_security_level_basics():
     assert str(SecurityLevel.zero()) == "0"
     with pytest.raises(ValueError):
         SecurityLevel(-1.0)
+    for eps in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            SecurityLevel.from_eps(eps)
 
 
 def test_eps_add_oracle_value():
@@ -114,6 +117,9 @@ def test_truncate_and_leak_are_worst_case():
     assert leak(spec, 100.0).hmin == 0.0
     with pytest.raises(ValueError):
         truncate_source(spec, 11)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            leak(spec, bad)
 
 
 def test_kv_format_round_trip():
