@@ -6,9 +6,11 @@ any other error including argument problems.
 
 Epsilon arguments accept "2^-N" (N may be fractional) or a decimal in
 [0, 1]; "0" means a perfect, zero-failure term. Every subcommand takes
-`--report PATH` to write its result as a flat key-value document and
-`--verbose` to print term breakdowns or debug dumps on stderr. All
-randomness used by a subcommand derives from the single `--rng-seed`.
+`--report PATH` to write its result as a flat key-value document. Those
+with details to show (extract, bound, bootstrap plan, combine, budget,
+handshake simulate) take `--verbose` to print term breakdowns or debug
+dumps on stderr. `handshake simulate`, the one command that draws
+randomness, derives all of it from `--rng-seed`.
 """
 
 from __future__ import annotations
@@ -526,13 +528,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, verbose: bool = True) -> None:
     sub.add_argument("--report", metavar="PATH",
                      help="write a flat key-value report to PATH")
-    sub.add_argument("--verbose", action="store_true",
-                     help="print term breakdowns or debug dumps on stderr")
-    sub.add_argument("--rng-seed", type=int, default=0,
-                     help="seed for any randomness the command uses")
+    if verbose:
+        sub.add_argument("--verbose", action="store_true",
+                         help="print term breakdowns or debug dumps on "
+                              "stderr")
 
 
 def build_parser() -> _Parser:
@@ -609,7 +611,7 @@ def build_parser() -> _Parser:
     p = top.add_parser("alpha", help="balanced seed/input split of two keys")
     p.add_argument("--len1", type=int, required=True)
     p.add_argument("--len2", type=int, required=True)
-    _add_common(p)
+    _add_common(p, verbose=False)
     p.set_defaults(func=_cmd_alpha)
 
     boot = top.add_parser("bootstrap",
@@ -633,7 +635,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x1-bits", required=True, metavar="F1.QBITS")
     p.add_argument("--x2-bits", required=True, metavar="F2.QBITS")
     p.add_argument("--out", required=True, metavar="OUT.QBITS")
-    _add_common(p)
+    _add_common(p, verbose=False)
     p.set_defaults(func=_cmd_bootstrap_run)
 
     p = top.add_parser("combine", help="mix two secret keys into one")
@@ -681,6 +683,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tamper", metavar="mX:bitY",
                    help="flip one wire bit, e.g. m7:bit3")
     p.add_argument("--dump", metavar="TRANSCRIPT.LOG")
+    p.add_argument("--rng-seed", type=int, default=0,
+                   help="master seed every random draw derives from")
     _add_common(p)
     p.set_defaults(func=_cmd_handshake_simulate)
 
@@ -693,18 +697,18 @@ def build_parser() -> _Parser:
     p.add_argument("--msg", required=True, metavar="M.QBITS")
     p.add_argument("--tag-len", type=int, required=True)
     p.add_argument("--out", metavar="TAG.QBITS")
-    _add_common(p)
+    _add_common(p, verbose=False)
     p.set_defaults(func=_cmd_mac_auth)
 
     p = msub.add_parser("verify", help="check a tag")
     p.add_argument("--key", required=True, metavar="K.QBITS")
     p.add_argument("--msg", required=True, metavar="M.QBITS")
     p.add_argument("--tag", required=True, metavar="TAG.QBITS")
-    _add_common(p)
+    _add_common(p, verbose=False)
     p.set_defaults(func=_cmd_mac_verify)
 
     p = top.add_parser("selftest", help="run the exhaustive oracle suites")
-    _add_common(p)
+    _add_common(p, verbose=False)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -18,11 +18,16 @@ encryption of x under pad segment P):
 
 _STEPS below is this flow as a table: the sender of each message and the
 one step that builds it and the one that checks it, for either role.
+A receiver decodes each message once and checks its type, field count
+and every field size against wire.FIELDS before the step's own check
+(QKD id, certificate trust, decapsulation or finish tag) runs.
 
 Each stage i hashes (keys || label || transcript-core-so-far) with the
 public seed s_i carried on the wire. The transcript fed to a stage is
 the "core" form (seed fields emptied) so seed lengths are computable
 before drawing; MAC tags and the PRF contexts bind the full wire bytes.
+Each party builds a message's core from what it already holds: the
+sender from the fields it encodes, the receiver from the decoded fields.
 Stage seeds are one bit shorter than their input, sized at runtime from
 the actual transcript; for stage 4 the seed is drawn at m7 using the
 fixed size of m8, whose bytes enter the stage only after the exchange.
@@ -50,9 +55,11 @@ from ..ledger import SecurityLevel
 from .mac import transcript_mac
 from .providers import (KemKeyPair, MockKem, MockQkdStore, UnknownQkdIdError,
                         prf_expand)
-from .schedule import ScheduleParams, budget, schedule_stage
-from .wire import SEED_FIELD_INDEX, WireError, core_of_wire, \
+from .schedule import STAGE_OUTPUTS, ScheduleParams, budget, schedule_stage
+from .wire import FIELDS, SEED_FIELD_INDEX, WireError, core_form, \
     encode_message, decode_message, field_to_bits
+# no longer called here; perfbench's tracing still resolves it by this path
+from .wire import core_of_wire  # noqa: F401
 
 # domain-separation constants: 1..8, each 8 ASCII bytes = 64 bits
 LABELS = {i: f"QLHL/L{i}".encode() + b"\0" for i in range(1, 9)}
@@ -64,13 +71,12 @@ QKD_ID_BYTES = 8
 _SEED_STAGE = {index: stage
                for stage, index in enumerate(sorted(SEED_FIELD_INDEX), 1)}
 
-# stage -> (label index, PRF key derived here and its label index, chain
-# key read, output names); stage 1 reads the pre-shared block instead of
-# a chain key and also derives k_SecState from the previous session state
-_STAGES = {1: (3, ("k_pq", 2), None, ("k1", "IHTS", "RHTS")),
-           2: (5, ("k_pq_I", 4), "k1", ("k2", "IAHTS", "RAHTS")),
-           3: (7, ("k_pq_R", 6), "k2", ("k3", "fk_I", "fk_R")),
-           4: (8, None, "k3", ("IATS", "RATS", "SecStateNext"))}
+# stage -> (label index, PRF key derived here and its label index); a
+# stage reads the previous stage's chain key, except stage 1, which reads
+# the pre-shared block and also derives k_SecState from the previous
+# session state
+_STAGES = {1: (3, ("k_pq", 2)), 2: (5, ("k_pq_I", 4)),
+           3: (7, ("k_pq_R", 6)), 4: (8, None)}
 
 
 class AbortReason(enum.Enum):
@@ -272,6 +278,10 @@ class _Party:
     def __init__(self, cfg: HandshakeConfig, params: ScheduleParams):
         self.cfg = cfg
         self.params = params
+        # byte size of each fixed-size field kind in wire.FIELDS
+        self.field_bytes = {"kem": cfg.kem_bytes, "nonce": NONCE_BYTES,
+                            "id": QKD_ID_BYTES,
+                            "tag": (cfg.tag_bits + 7) // 8}
         self.rng = np.random.default_rng([cfg.rng_seed, self.rng_offset])
         self.kem = MockKem(cfg.n // 2, self.rng)
         self.transcript: list = []       # full wire bytes, own view
@@ -281,7 +291,6 @@ class _Party:
         self.seeds: dict = {}            # stage -> public seed
         self.seed_lens: list = []
         self.eps = cfg.eps_qkd
-        self.consumed_qkd = 0
         self.finals: Optional[Finals] = None
 
     def send(self, index: int) -> bytes:
@@ -289,16 +298,17 @@ class _Party:
         _, step, _, args, stage = _STEPS[index]
         fields = step(self, index, *args)
         seed_stage = _SEED_STAGE.get(index)
+        core = None
         if seed_stage is not None:      # sized with the seed field still empty
             slot = SEED_FIELD_INDEX[index]
             fields.insert(slot, b"")
-            pending = encode_message(index, fields)
-            nbits = self._seed_len(seed_stage, len(pending))
+            core = encode_message(index, fields)
+            nbits = self._seed_len(seed_stage, len(core))
             self.seeds[seed_stage] = BitString.from_u8(
                 self.rng.integers(0, 2, size=nbits, dtype=np.uint8))
             fields[slot] = self.seeds[seed_stage].to_bytes()
         msg = encode_message(index, fields)
-        self._append(msg)
+        self._append(msg, core or msg)
         if stage:
             self._stage(stage)
         return msg
@@ -315,39 +325,46 @@ class _Party:
     def _abort(self, reason: AbortReason, detail: str = ""):
         raise HandshakeAbort(reason, self.role, detail)
 
-    def _append(self, msg: bytes) -> None:
+    def _append(self, msg: bytes, core: bytes) -> None:
         self.transcript.append(msg)
-        self.core_transcript.append(core_of_wire(msg))
+        self.core_transcript.append(core)
 
     def _full(self, upto: Optional[int] = None) -> bytes:
         return b"".join(self.transcript[:upto])
 
-    def _expect(self, data: bytes, msg_type: int, nfields: int) -> list:
-        """Decode a message; nfields counts its fields besides a seed."""
-        nfields += msg_type in SEED_FIELD_INDEX
+    def _expect(self, data: bytes, index: int) -> list:
+        """Decode message `index` once and check it against FIELDS; record
+        it with its core and keep the seed it carries.
+
+        Returns the payload fields, seed and tag as BitStrings; any
+        mismatch aborts with BadMessage.
+        """
+        kinds = FIELDS[index]
         try:
-            got_type, fields = decode_message(data)
+            msg_type, fields = decode_message(data)
+            if msg_type != index:
+                raise WireError(f"expected m{index}, got m{msg_type}")
+            if len(fields) != len(kinds):
+                raise WireError(f"m{index} must carry {len(kinds)} fields, "
+                                f"got {len(fields)}")
+            values = []
+            for kind, value in zip(kinds, fields):
+                if kind == "seed":      # sized from the message's core
+                    stage = _SEED_STAGE[index]
+                    value = self.seeds[stage] = field_to_bits(
+                        value, self._seed_len(stage, len(data) - len(value)))
+                elif kind == "tag":
+                    value = field_to_bits(value, self.cfg.tag_bits)
+                elif len(value) != self.field_bytes[kind]:
+                    raise WireError(f"m{index} {kind} field must be "
+                                    f"{self.field_bytes[kind]} bytes, got "
+                                    f"{len(value)}")
+                values.append(value)
         except WireError as exc:
             self._abort(AbortReason.BAD_MESSAGE, str(exc))
-        if got_type != msg_type:
-            self._abort(AbortReason.BAD_MESSAGE,
-                        f"expected m{msg_type}, got m{got_type}")
-        if len(fields) != nfields:
-            self._abort(AbortReason.BAD_MESSAGE,
-                        f"m{msg_type} must carry {nfields} fields, "
-                        f"got {len(fields)}")
-        return fields
-
-    def _check_bytes(self, data: bytes, size: int, what: str) -> None:
-        if len(data) != size:
-            self._abort(AbortReason.BAD_MESSAGE,
-                        f"{what} must be {size} bytes, got {len(data)}")
-
-    def _bit_field(self, data: bytes, nbits: int, what: str) -> BitString:
-        try:
-            return field_to_bits(data, nbits)
-        except WireError as exc:
-            self._abort(AbortReason.BAD_MESSAGE, f"{what}: {exc}")
+        self._append(data, core_form(index, fields)
+                     if index in SEED_FIELD_INDEX else data)
+        return values
 
     def _rand_bytes(self, size: int) -> bytes:
         return self.rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
@@ -358,23 +375,20 @@ class _Party:
             self.pads[pad] = OneTimePad(self.intermediate[pad], pad)
         return self.pads[pad].take(nbits)
 
-    def _accept(self, index: int, data: bytes, fields: list) -> None:
-        """Record a checked message and read the seed it carries."""
-        self._append(data)
-        stage = _SEED_STAGE.get(index)
-        if stage is not None:
-            self.seeds[stage] = self._bit_field(
-                fields[SEED_FIELD_INDEX[index]], self._seed_len(stage, 0),
-                f"stage-{stage} seed")
+    def _xor_pad(self, pad: str, data: bytes) -> bytes:
+        """Encrypt or decrypt data under the next segment of a pad."""
+        mask = self._take(pad, 8 * len(data))
+        return (BitString.from_bytes(data) ^ mask).to_bytes()
 
     # -- schedule ---------------------------------------------------------
 
     def _stage(self, stage: int) -> None:
         """Run a stage; its PRF key is derived from the KEM secret that the
         step completing it left in self.shared (and self.k_qkd, stage 1)."""
-        label, derived, chain, names = _STAGES[stage]
+        label, derived = _STAGES[stage]
         full = self._full()
-        keys = [self.intermediate[chain]] if chain else []
+        keys = [self.intermediate[STAGE_OUTPUTS[stage - 1][0]]] \
+            if stage > 1 else []
         if derived:
             name, prf_label = derived
             self.intermediate[name] = prf_expand(
@@ -392,21 +406,19 @@ class _Party:
             seed, self.params.stage_out_lens(stage), self.cfg.eps_prime)
         self.seed_lens.append(len(seed))
         self.eps = self.eps + self.cfg.eps_seed + self.params.stage_eps
-        self.intermediate.update(zip(names, outs))
+        self.intermediate.update(zip(STAGE_OUTPUTS[stage], outs))
         if stage == 4:
-            self.finals = Finals(*outs, self.eps, self.consumed_qkd)
+            self.finals = Finals(*outs, self.eps, len(self.k_qkd))
 
     def _seed_len(self, stage: int, pending: int) -> int:
         """One bit less than the stage's keys, label and core transcript,
         with `pending` core bytes not yet appended (and m8's for stage 4)."""
-        n = self.cfg.n
-        key_bits = {1: n + self.params.qkd_budget + n,
-                    2: self.params.k1 + n,
-                    3: self.params.k2 + n,
-                    4: self.params.k3}[stage]
-        if stage == 4:
-            # m8 = type + payload length + one length-prefixed tag field
-            pending += 5 + 4 + (self.cfg.tag_bits + 7) // 8
+        p, n = self.params, self.cfg.n
+        key_bits = {1: n + p.qkd_budget + n, 2: p.k1 + n, 3: p.k2 + n,
+                    4: p.k3}[stage]
+        if stage == 4:      # m8: header and length-prefixed fixed fields
+            pending += 5 + sum(4 + self.field_bytes[kind]
+                               for kind in FIELDS[8])
         core_bytes = sum(len(c) for c in self.core_transcript) + pending
         return key_bits + 64 + 8 * core_bytes - 1       # 64 label bits
 
@@ -417,44 +429,26 @@ class _Party:
         return [self.eph.public_key, self._rand_bytes(NONCE_BYTES)]
 
     def _recv_hello(self, index: int, data: bytes) -> None:
-        fields = self._expect(data, index, 2)
-        eph_pk, nonce = fields
-        self._check_bytes(eph_pk, self.cfg.kem_bytes, "ephemeral public key")
-        self._check_bytes(nonce, NONCE_BYTES, "nonce")
-        self._accept(index, data, fields)
-        self.peer_eph_pk = bytes(eph_pk)
+        self.peer_eph_pk = self._expect(data, index)[0]
 
     def _send_qkd(self, index: int) -> list:
         ident, self.k_qkd = self.cfg.qkd_store.next_block()
-        self.consumed_qkd = len(self.k_qkd)
         c_pq, self.shared = self.kem.encapsulate(self.peer_eph_pk)
         return [c_pq, ident, self._rand_bytes(NONCE_BYTES)]
 
     def _recv_qkd(self, index: int, data: bytes) -> None:
-        fields = self._expect(data, index, 3)
-        c_pq, ident, nonce, _ = fields
-        self._check_bytes(c_pq, self.cfg.kem_bytes, "KEM ciphertext")
-        self._check_bytes(ident, QKD_ID_BYTES, "QKD id")
-        self._check_bytes(nonce, NONCE_BYTES, "nonce")
+        c_pq, ident, *_ = self._expect(data, index)
         try:
-            self.k_qkd = self.cfg.qkd_store.fetch(bytes(ident))
+            self.k_qkd = self.cfg.qkd_store.fetch(ident)
         except UnknownQkdIdError as exc:
             self._abort(AbortReason.UNKNOWN_QKD_ID, str(exc))
-        self.consumed_qkd = len(self.k_qkd)
-        self._accept(index, data, fields)
         self.shared = self.kem.decapsulate(self.eph.secret_key, c_pq)
 
     def _send_cert(self, index: int, pad: str) -> list:
-        mask = self._take(pad, 8 * self.cfg.kem_bytes)
-        cert = BitString.from_bytes(self.cfg.long_term.public_key)
-        return [(cert ^ mask).to_bytes()]
+        return [self._xor_pad(pad, self.cfg.long_term.public_key)]
 
     def _recv_cert(self, index: int, data: bytes, pad: str) -> None:
-        fields = self._expect(data, index, 1)
-        self._check_bytes(fields[0], self.cfg.kem_bytes, "certificate")
-        self._accept(index, data, fields)
-        mask = self._take(pad, 8 * self.cfg.kem_bytes)
-        cert = (BitString.from_bytes(fields[0]) ^ mask).to_bytes()
+        cert = self._xor_pad(pad, self._expect(data, index)[0])
         if cert not in self.cfg.trusted_certs:
             self._abort(AbortReason.CERT_UNTRUSTED,
                         f"{self.peer} certificate not in the anchor set")
@@ -462,15 +456,10 @@ class _Party:
 
     def _send_kem(self, index: int, pad: str) -> list:
         c, self.shared = self.kem.encapsulate(self.peer_cert)
-        mask = self._take(pad, 8 * self.cfg.kem_bytes)
-        return [(BitString.from_bytes(c) ^ mask).to_bytes()]
+        return [self._xor_pad(pad, c)]
 
     def _recv_kem(self, index: int, data: bytes, pad: str) -> None:
-        fields = self._expect(data, index, 1)
-        self._check_bytes(fields[0], self.cfg.kem_bytes, "KEM ciphertext")
-        self._accept(index, data, fields)
-        mask = self._take(pad, 8 * self.cfg.kem_bytes)
-        c = (BitString.from_bytes(fields[0]) ^ mask).to_bytes()
+        c = self._xor_pad(pad, self._expect(data, index)[0])
         self.shared = self.kem.decapsulate(self.cfg.long_term.secret_key, c)
 
     def _send_finish(self, index: int, fk: str, pad: str, *_) -> list:
@@ -481,10 +470,7 @@ class _Party:
     def _recv_finish(self, index: int, data: bytes, fk: str, pad: str,
                      reason: AbortReason) -> None:
         t = self.cfg.tag_bits
-        fields = self._expect(data, index, 1)
-        enc = self._bit_field(fields[0], t, "finish tag")
-        self._accept(index, data, fields)
-        tag = enc ^ self._take(pad, t)
+        tag = self._expect(data, index)[0] ^ self._take(pad, t)
         want = transcript_mac(self.intermediate[fk], self._full(index - 1), t)
         if tag != want:
             self._abort(reason, f"{self.peer} finish tag does not verify")
@@ -560,7 +546,8 @@ def run_handshake(init_cfg: HandshakeConfig, resp_cfg: HandshakeConfig,
 
     Args:
         init_cfg, resp_cfg: matched configurations (same n, eps, store).
-        channel: transport; a fresh lossless one when omitted.
+        channel: transport, unused until now (ValueError otherwise); a
+            fresh lossless one when omitted.
         tamper: TamperSpec or "m7:bit3"-style string applied in flight,
             before the channel's own transforms.
 
@@ -574,6 +561,11 @@ def run_handshake(init_cfg: HandshakeConfig, resp_cfg: HandshakeConfig,
         tamper = TamperSpec.parse(tamper)
     if channel is None:
         channel = InMemoryChannel()
+    if channel.log:
+        # transforms are keyed by absolute message index, so a second run
+        # over one channel would skip them and misname a lost message
+        raise ValueError(f"run_handshake needs a fresh channel, not one "
+                         f"that carried {len(channel.log)} messages")
     if tamper is not None:
         channel.transforms.insert(0, (tamper.message_index, tamper.apply))
     params = budget(init_cfg.n, init_cfg.eps_prime)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from ..bits import BitString, concat_all
@@ -34,6 +35,13 @@ from ..toeplitz import ExtractorParams, SeededHash, extract_fast
 # per-key length order used everywhere a 9-tuple appears
 KEY_NAMES = ("IATS", "RATS", "SecStateNext", "fk_I", "fk_R",
              "IAHTS", "RAHTS", "IHTS", "RHTS")
+
+# stage -> its output names in emission order; the first output of stages
+# 1-3 is the chain key, the secure input of the next stage
+STAGE_OUTPUTS = {1: ("k1", "IHTS", "RHTS"),
+                 2: ("k2", "IAHTS", "RAHTS"),
+                 3: ("k3", "fk_I", "fk_R"),
+                 4: ("IATS", "RATS", "SecStateNext")}
 
 
 class BudgetExceeded(ValueError):
@@ -83,16 +91,11 @@ class ScheduleParams:
 
     def stage_out_lens(self, stage: int) -> tuple:
         """Output lengths for one stage, in emission order."""
-        lens = self.per_key_lengths
-        table = {
-            1: (self.k1, lens[7], lens[8]),
-            2: (self.k2, lens[5], lens[6]),
-            3: (self.k3, lens[3], lens[4]),
-            4: (lens[0], lens[1], lens[2]),
-        }
-        if stage not in table:
+        if stage not in STAGE_OUTPUTS:
             raise ValueError("stage must be 1..4")
-        return table[stage]
+        lens = dict(zip(KEY_NAMES, self.per_key_lengths),
+                    k1=self.k1, k2=self.k2, k3=self.k3)
+        return tuple(lens[name] for name in STAGE_OUTPUTS[stage])
 
 
 def budget(n: int, eps_prime: SecurityLevel,
@@ -119,52 +122,52 @@ def budget(n: int, eps_prime: SecurityLevel,
         if any(v < 1 for v in lengths):
             raise ValueError("every per-key length must be >= 1")
     penalty = 2 * _floor_neg_log2(eps_prime) - 2
-    k3 = lengths[0] + lengths[1] + lengths[2] + penalty
-    k2 = k3 + lengths[3] + lengths[4] + penalty
-    k1 = k2 + lengths[5] + lengths[6] + penalty
-    qkd = k1 + lengths[7] + lengths[8] + penalty
+    lens = dict(zip(KEY_NAMES, lengths))
+    # a stage's secure input covers its outputs plus the penalty: the
+    # previous stage's chain key, or for stage 1 the QKD block
+    for stage in (4, 3, 2, 1):
+        secure = STAGE_OUTPUTS[stage - 1][0] if stage > 1 else "qkd"
+        lens[secure] = sum(lens[name] for name in STAGE_OUTPUTS[stage]) \
+            + penalty
     common = lengths[0] if len(set(lengths)) == 1 else 0
     return ScheduleParams(n=common, eps_prime=eps_prime,
-                          per_key_lengths=lengths, k1=k1, k2=k2, k3=k3,
-                          qkd_budget=qkd)
+                          per_key_lengths=lengths, k1=lens["k1"],
+                          k2=lens["k2"], k3=lens["k3"],
+                          qkd_budget=lens["qkd"])
 
 
 def schedule_stage(stage: int, key_material: Sequence[BitString],
                    label: BitString, traffic: BitString, seed: BitString,
-                   out_lens: Sequence[int], eps_prime: SecurityLevel,
-                   its_index: Optional[int] = None) -> list:
+                   out_lens: Sequence[int],
+                   eps_prime: SecurityLevel) -> list:
     """Run one extraction stage and split the result.
 
     The stage input is concat(key_material) || label || traffic; the
     seed must be exactly one bit shorter. The total output must fit the
     stage's information-theoretic budget: the length of the one key in
     key_material that carries full conditional min-entropy, minus the
-    hash penalty.
+    hash penalty. That secure key is the second key in stage 1 (the
+    pre-shared block) and the first (the chain key) in later stages.
 
     Args:
-        stage: 1..4, used for defaults and error text.
+        stage: 1..4; picks the secure key and names the stage in errors.
         key_material: secret inputs in their fixed public order.
         label: domain-separation constant.
         traffic: transcript bits bound into the extraction.
         seed: public extraction seed, |input| - 1 bits.
         out_lens: lengths to split the output into, in order.
         eps_prime: extraction failure probability for this stage.
-        its_index: index of the fully secure key in key_material;
-            defaults to the second key for stage 1 (the pre-shared
-            block) and the first (the chain key) otherwise.
 
     Returns:
         One BitString per entry of out_lens.
     """
-    if stage not in (1, 2, 3, 4):
+    if stage not in STAGE_OUTPUTS:
         raise ValueError("stage must be 1..4")
     keys = list(key_material)
-    if not keys:
-        raise ValueError("stage needs at least one input key")
-    if its_index is None:
-        its_index = 1 if stage == 1 else 0
-    if not 0 <= its_index < len(keys):
-        raise ValueError("its_index out of range")
+    secure = 1 if stage == 1 else 0
+    if len(keys) <= secure:
+        raise ValueError(f"stage {stage} needs its secure key at input "
+                         f"position {secure}")
     if not out_lens or any(v < 1 for v in out_lens):
         raise ValueError("output lengths must all be >= 1")
     input_bits = concat_all(list(keys) + [label, traffic])
@@ -172,15 +175,11 @@ def schedule_stage(stage: int, key_material: Sequence[BitString],
         raise ValueError(f"stage {stage} seed must be "
                          f"{len(input_bits) - 1} bits, got {len(seed)}")
     total = sum(out_lens)
-    allowed = len(keys[its_index]) - 2 * _floor_neg_log2(eps_prime) + 2
+    allowed = len(keys[secure]) - 2 * _floor_neg_log2(eps_prime) + 2
     if total > allowed:
         raise BudgetExceeded(f"stage {stage} outputs need {total} bits but "
                              f"the secure input covers {allowed}")
     h = SeededHash(ExtractorParams.modified(len(input_bits), total), seed)
     out = extract_fast(h, input_bits)
-    pieces = []
-    pos = 0
-    for length in out_lens:
-        pieces.append(out[pos:pos + length])
-        pos += length
-    return pieces
+    ends = [0, *accumulate(out_lens)]
+    return [out[start:end] for start, end in zip(ends, ends[1:])]

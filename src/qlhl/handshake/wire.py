@@ -6,12 +6,16 @@ big-endian length followed by that many bytes. Decoding is strict; any
 byte that does not tile exactly is an error, so a single flipped length
 bit cannot reframe a message silently.
 
-Messages that transport an extraction seed list its field index in
-SEED_FIELD_INDEX. The "core" form of a message replaces that field with
-an empty one: seed sizes depend on the transcript, and the transcript
-fed to the extractor is built from core forms so the sizes are known
-before any seed is drawn. MACs and the PRF contexts bind the full wire
-bytes, seeds included.
+FIELDS gives each message's payload field kinds in wire order: "kem" (a
+KEM key or ciphertext, or a certificate, which is a KEM public key),
+"nonce", "id" (a QKD block id), "seed" (a public extraction seed) and
+"tag" (a finish tag). A receiver sizes every field from this table.
+SEED_FIELD_INDEX, derived from it, gives the position of the seed field
+in the messages that carry one. The "core" form of a message replaces
+that field with an empty one: seed sizes depend on the transcript, and
+the transcript fed to the extractor is built from core forms so the
+sizes are known before any seed is drawn. MACs and the PRF contexts bind
+the full wire bytes, seeds included.
 """
 
 from __future__ import annotations
@@ -20,10 +24,15 @@ from typing import Sequence
 
 from ..bits import BitString
 
-MESSAGE_COUNT = 8
+# message index -> payload field kinds in wire order
+FIELDS = {1: ("kem", "nonce"), 2: ("kem", "id", "nonce", "seed"),
+          3: ("kem",), 4: ("kem", "seed"), 5: ("kem",), 6: ("kem", "seed"),
+          7: ("tag", "seed"), 8: ("tag",)}
+MESSAGE_COUNT = len(FIELDS)
 
 # message index -> 0-based payload field carrying a seed
-SEED_FIELD_INDEX = {2: 3, 4: 1, 6: 1, 7: 1}
+SEED_FIELD_INDEX = {index: kinds.index("seed")
+                    for index, kinds in FIELDS.items() if "seed" in kinds}
 
 
 class WireError(ValueError):

@@ -19,8 +19,10 @@ from qlhl.bits import BitString, concat
 from qlhl.bounds import (ThreatCase, combine_case_bound, public_seed_bound,
                          qlhl_basic, qlhl_general)
 from qlhl.combiner import model_pqc_key, xor_vs_extractor_report
-from qlhl.handshake import TamperSpec, make_configs, run_handshake
-from qlhl.handshake.mac import its_mac_auth, its_mac_verify, split_mac_key
+from qlhl.handshake import (InMemoryChannel, TamperSpec, make_configs,
+                            run_handshake)
+from qlhl.handshake.mac import (its_mac_auth, its_mac_verify, split_mac_key,
+                                transcript_mac_block_bits)
 from qlhl.handshake.protocol import OUTCOME_SUCCESS
 from qlhl.handshake.schedule import budget
 from qlhl.ledger import SecurityLevel, SourceSpec, kv_format, kv_parse
@@ -356,6 +358,76 @@ def test_handshake_end_to_end():
         clean_failures == 0 and ledger_ok and surviving == 0
         and flips == 6776 and aborts == want_aborts and elapsed < 60.0,
         f"{flips} bit flips over 8 messages, {surviving} survived, "
+        f"{elapsed:.1f}s")
+
+
+def _flip_pair(index, first, second):
+    """One channel transform flipping two bits of message `index`."""
+    flip_first = TamperSpec(index, first).apply
+    flip_second = TamperSpec(index, second).apply
+    return index, lambda data: flip_second(flip_first(data))
+
+
+def test_handshake_two_bit_flips_across_mac_blocks():
+    """Paired flips across each IF block boundary of m1..m6 all abort."""
+    started = time.perf_counter()
+    e16 = SecurityLevel(16.0)
+    init_cfg, resp_cfg = make_configs(n=64, eps_prime=e16, rng_seed=1000)
+    clean = run_handshake(init_cfg, resp_cfg).messages
+    b = transcript_mac_block_bits(64, init_cfg.tag_bits)
+    assert (init_cfg.tag_bits, b) == (16, 33)
+    # the IF stream is the 64-bit length header, then m1..m6; message i
+    # holds stream bits starting[i - 1] .. starting[i] - 1
+    starting = [64]
+    for wire in clean[:6]:
+        starting.append(starting[-1] + 8 * len(wire))
+    pairs = []
+    for j in (0, b - 2):
+        k = 0
+        while (k + 1) * b + j + 1 < starting[-1]:
+            first, second = k * b + j, (k + 1) * b + j + 1
+            k += 1
+            for index in range(1, 7):
+                lo, hi = starting[index - 1], starting[index]
+                if lo <= first and second < hi:
+                    pairs.append((index, first - lo, second - lo))
+    surviving = 0
+    aborts = Counter()
+    for index, first, second in pairs:
+        init_cfg, resp_cfg = make_configs(n=64, eps_prime=e16,
+                                          rng_seed=1000)
+        channel = InMemoryChannel(
+            transforms=[_flip_pair(index, first, second)])
+        res = run_handshake(init_cfg, resp_cfg, channel=channel)
+        if (res.outcome == OUTCOME_SUCCESS
+                or res.initiator_finals is not None
+                or res.responder_finals is not None):
+            surviving += 1
+        else:
+            aborts[index, res.abort_reason.value, res.abort_party] += 1
+    elapsed = time.perf_counter() - started
+    # Both fields of m6 (c_R and s3) feed stage 3, so a flip there also
+    # splits the parties' fk_I and MacFailIF follows from unequal keys:
+    # no pair here tests a tag collision under equal keys.
+    want_aborts = {
+        (1, "BadMessage", "responder"): 9,
+        (2, "BadMessage", "initiator"): 14,
+        (2, "CertUntrusted", "initiator"): 80,
+        (2, "UnknownQkdId", "initiator"): 2,
+        (3, "BadMessage", "initiator"): 5,
+        (4, "BadMessage", "responder"): 8,
+        (4, "CertUntrusted", "responder"): 80,
+        (5, "BadMessage", "responder"): 6,
+        (6, "BadMessage", "initiator"): 8,
+        (6, "MacFailIF", "responder"): 86,
+    }
+    _verdict(
+        "handshake: two-bit flips at bit j of IF block k and j + 1 of "
+        "block k + 1, j in {0, b - 2}, within one of m1..m6, all abort "
+        "with the pinned reason and party",
+        surviving == 0 and len(pairs) == 298 and aborts == want_aborts
+        and elapsed < 60.0,
+        f"{len(pairs)} flip pairs, b = {b}, {surviving} survived, "
         f"{elapsed:.1f}s")
 
 

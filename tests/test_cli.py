@@ -297,6 +297,16 @@ def test_handshake_simulate_cli(tmp_path, capsys):
     assert doc["iats_hex"] == "efe88e1beeb473d0"
 
 
+def test_options_a_command_does_not_read_are_refused(capsys):
+    # --rng-seed only on the one command that draws randomness, --verbose
+    # only where it prints something
+    for argv in (["alpha", "--len1", "8", "--len2", "7", "--verbose"],
+                 ["selftest", "--verbose"],
+                 ["budget", "--n", "64", "--eps", "2^-16", "--rng-seed", "1"]):
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_handshake_simulate_tamper_expects_abort(capsys):
     code = main(["handshake", "simulate", "--n", "64", "--eps", "2^-16",
                  "--tamper", "m7:bit3"])

@@ -1,6 +1,7 @@
 """Tests for the budgeted four-stage handshake simulation."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from qlhl.handshake import (AbortReason, BudgetExceeded, InMemoryChannel,
                             ScheduleParams, TamperSpec, UnknownQkdIdError,
                             budget, dump_transcript, make_configs,
                             run_handshake, schedule_stage)
+from qlhl.handshake import protocol
 from qlhl.handshake.protocol import (OUTCOME_ABORT, OUTCOME_SUCCESS,
                                      HandshakeConfig)
-from qlhl.handshake.wire import core_of_wire
+from qlhl.handshake.wire import (FIELDS, core_of_wire, decode_message,
+                                 encode_message)
 from qlhl.ledger import SecurityLevel
 from qlhl.toeplitz import ExtractorParams, SeededHash, extract
 
@@ -316,6 +319,45 @@ def test_channel_loss_names_the_waiting_party():
         assert result.abort_reason == AbortReason.CHANNEL_LOSS, drop_after
         assert result.abort_party == party, drop_after
         assert len(result.messages) == drop_after
+
+
+def test_reused_channel_is_refused():
+    # a channel's transforms are keyed by absolute message index, so a
+    # second run over the same channel would skip a requested tamper
+    channel = InMemoryChannel()
+    assert _toy_run(channel=channel).outcome == OUTCOME_SUCCESS
+    with pytest.raises(ValueError, match="fresh channel"):
+        _toy_run(channel=channel, tamper="m3:bit40")
+    assert len(channel.log) == 8
+
+
+def test_clean_run_decodes_each_message_once(monkeypatch):
+    calls = Counter()
+    for name in ("decode_message", "core_of_wire"):
+        def spy(*args, _name=name, _fn=getattr(protocol, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(protocol, name, spy)
+    assert _toy_run().outcome == OUTCOME_SUCCESS
+    assert (calls["decode_message"], calls["core_of_wire"]) == (8, 0)
+
+
+def test_well_framed_field_of_wrong_size_is_a_bad_message():
+    # a sender that re-frames a message passes the codec; the receiver
+    # still sizes every field, seeds and tags included
+    receivers = ("responder", "initiator", "initiator", "responder",
+                 "responder", "initiator", "responder", "initiator")
+    for index, kinds in FIELDS.items():
+        for slot, kind in enumerate(kinds):
+            def shorten(data, slot=slot):
+                msg_type, fields = decode_message(data)
+                fields[slot] = fields[slot][:-1]
+                return encode_message(msg_type, fields)
+            result = _toy_run(
+                channel=InMemoryChannel(transforms=[(index, shorten)]))
+            assert result.abort_reason == AbortReason.BAD_MESSAGE, \
+                (index, kind)
+            assert result.abort_party == receivers[index - 1], (index, kind)
 
 
 def test_truncating_transform_aborts():
