@@ -236,7 +236,7 @@ def combine_case_bound(case: ThreatCase, len1: int, len2: int,
     return _finish(raw, out_eps, kind, terms, force_infeasible=force)
 
 
-def public_seed_bound_many(lengths: "list[int] | tuple[int, ...]",
+def public_seed_bound_many(lengths: "list[float] | tuple[float, ...]",
                            epsilons: "list[SecurityLevel]",
                            eps_seed: SecurityLevel,
                            eps_hash: SecurityLevel, reveal_allowed: bool,
@@ -244,14 +244,15 @@ def public_seed_bound_many(lengths: "list[int] | tuple[int, ...]",
                            ) -> BoundReport:
     """Public-seed mixing bound for any number of concatenated keys.
 
-    With no reveals the key entropies add. If reveals are allowed the
-    bound must survive every subset of reveals that leaves one key
-    secret, so only the shortest key counts.
+    `lengths` are the keys' min-entropies in bits, which for full-entropy
+    keys are their lengths. With no reveals they add. If reveals are
+    allowed the bound must survive every subset of reveals that leaves
+    one key secret, so only the smallest counts.
     """
     if len(lengths) < 1:
         raise ValueError("need at least one key")
-    if any(ln < 1 for ln in lengths):
-        raise ValueError("key lengths must be >= 1")
+    if any(ln < 0 for ln in lengths):
+        raise ValueError("key entropies must be >= 0")
     penalty = 2.0 * eps_hash.neg_log2
     entropy_term = float(min(lengths) if reveal_allowed else sum(lengths))
     raw = entropy_term - penalty + 2.0

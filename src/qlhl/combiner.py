@@ -173,7 +173,8 @@ def _settle_length(report: BoundReport, requested: Optional[int],
     length = min(length, input_len)
     if requested is not None:
         if requested > length:
-            raise ValueError(f"requested {requested} bits but the case "
+            raise Infeasible(requested - length,
+                             f"requested {requested} bits but the case "
                              f"bound allows only {length}")
         length = requested
     if length < 1:
@@ -207,15 +208,24 @@ def combine_private(req: CombineRequest) -> CombineResult:
     and a2 chosen so the seed totals alpha*(|key1|+|key2|); the input is
     the two trailing portions in the same key order.
 
+    The case bounds take each key's length as its entropy, and half of
+    each key becomes the seed, so both keys must have full entropy.
+
     Raises:
-        ValueError: even total without auto_truncate, or oversize
-            requested_len.
-        Infeasible: the threat case admits no output at eps_hash.
+        ValueError: even total without auto_truncate.
+        Infeasible: a key with hmin < length (the shortfall is the sum
+            of length - hmin), a threat case that admits no output at
+            eps_hash, or an oversize requested_len.
     """
     if req.mode is not CombineMode.PRIVATE_SEED:
         raise ValueError("combine_private needs mode=PRIVATE_SEED")
     key1, spec1 = req.key1, req.spec1
     key2, spec2 = req.key2, req.spec2
+    deficit = (spec1.length - spec1.hmin) + (spec2.length - spec2.hmin)
+    if deficit > 0:
+        raise Infeasible(deficit, f"private-seed combining needs "
+                         f"full-entropy keys; {deficit:g} bits of min-entropy "
+                         f"are missing")
     if (spec1.length + spec2.length) % 2 == 0:
         if not req.auto_truncate:
             raise ValueError(
@@ -247,7 +257,9 @@ def combine_public(req: CombineRequest) -> CombineResult:
     """Mix two keys under fresh public randomness.
 
     The input is key1 || key2 (|| transcript if given) and the seed must
-    have exactly input length minus one bits.
+    have exactly input length minus one bits. The output is sized from
+    the keys' min-entropies: their sum, or the smaller one when the
+    threat case allows a reveal.
 
     Raises:
         OrderingViolation: seed_after_keys not asserted.
@@ -271,14 +283,14 @@ def combine_public(req: CombineRequest) -> CombineResult:
     kind = _output_kind(req.spec1, req.spec2, req.threat, req.revealed_key)
     reveal_allowed = req.threat in _REVEAL_ALLOWING_CASES
     report = public_seed_bound_many(
-        [req.spec1.length, req.spec2.length],
+        [req.spec1.hmin, req.spec2.hmin],
         [req.spec1.eps, req.spec2.eps], req.eps_seed, req.eps_hash,
         reveal_allowed, kind=kind)
     caps: list[float] = []
     if req.threat in (ThreatCase.REVEAL_OUTPUT,
                       ThreatCase.REVEAL_OUTPUT_AND_KEY):
-        caps = [req.spec1.length - req.lambda1,
-                req.spec2.length - req.lambda2]
+        caps = [req.spec1.hmin - req.lambda1,
+                req.spec2.hmin - req.lambda2]
     length = _settle_length(report, req.requested_len, len(input_bits), caps)
     return _extract_combined(req.seed, input_bits, length, report,
                              f"mix({req.spec1.label},{req.spec2.label})",
@@ -296,8 +308,8 @@ def combine_public_many(keys: Sequence[tuple[BitString, SourceSpec]],
     """Mix any number of independent keys under one public seed.
 
     Reduces to concatenating the sources and running one extraction;
-    the epsilons sum and the reveal-allowed bound keeps only the
-    shortest key's length.
+    the epsilons sum, and the output is sized from the sum of the keys'
+    min-entropies, or from the smallest one when reveals are allowed.
     """
     if len(keys) < 2:
         raise ValueError("need at least two keys")
@@ -316,7 +328,7 @@ def combine_public_many(keys: Sequence[tuple[BitString, SourceSpec]],
         raise ValueError(f"seed must be {len(input_bits) - 1} bits")
     kind = combined_spec.kind
     report = public_seed_bound_many(
-        [spec.length for _, spec in keys], [spec.eps for _, spec in keys],
+        [spec.hmin for _, spec in keys], [spec.eps for _, spec in keys],
         eps_seed, eps_hash, reveal_allowed, kind=kind)
     length = _settle_length(report, requested_len, len(input_bits))
     return _extract_combined(seed, input_bits, length, report, "mix", kind,

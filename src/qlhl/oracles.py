@@ -5,6 +5,12 @@ ground truth that the analytical bounds and the fast kernels are checked
 against. All of them refuse sizes past hard guards rather than silently
 taking hours.
 
+Both read the seeded block through `toeplitz.block_seed_index`, the one
+statement of which seed bit sits at each block entry, and work on all
+seeds at once in numpy: the zero-hash probability as one parity per
+output row over every seed, the distances from chunks of seeds whose
+output distributions come from one `np.bincount` per chunk.
+
 Integer encodings match `bits.BitString`: an L-bit string maps to the
 integer whose bit (L-1-q) is string index q (index 0 is the most
 significant bit). Distributions over L-bit strings are numpy arrays of
@@ -19,7 +25,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .bits import BitString
-from .toeplitz import ExtractorParams, Family
+from .toeplitz import ExtractorParams, block_seed_index
 
 # enumeration guards: seeds are enumerated as 2**seed_len integers and
 # inputs as 2**input_len, so both exponents stay small
@@ -34,53 +40,31 @@ def _check_guard(value: int, limit: int, what: str) -> None:
         raise ValueError(f"{what} {value} exceeds enumeration guard {limit}")
 
 
-def _row_masks(params: ExtractorParams,
-               delta: BitString) -> tuple[list[int], list[int]]:
-    """Per-output-row seed masks for the difference vector `delta`.
-
-    Output bit i of H_s(delta) equals parity(popcount(sv & mask[i])) xor
-    affine[i], where sv is the seed integer with bit b = seed index
-    (d-1-b), i.e. the BitString encoding.
-    """
-    n = params.input_len
-    m = params.output_len
-    d = params.seed_len
-    masks = [0] * m
-    affine = [0] * m
-    if params.family is Family.REGULAR:
-        for i in range(m):
-            acc = 0
-            for j in range(n):
-                if delta[j]:
-                    acc |= 1 << (d - 1 - (i - j + n - 1))
-            masks[i] = acc
-        return masks, affine
-    K = n - m
-    for i in range(m):
-        acc = 0
-        for j in range(K):
-            if delta[j]:
-                q = i - j if i >= j else m - 1 + (j - i)
-                acc |= 1 << (d - 1 - q)
-        masks[i] = acc
-        affine[i] = delta[K + i]
-    return masks, affine
-
-
 def zero_hash_probability(params: ExtractorParams,
                           delta: BitString) -> Fraction:
-    """Exact Pr over uniform seeds that H_s(delta) = 0, by enumeration."""
+    """Exact Pr over uniform seeds that H_s(delta) = 0, by enumeration.
+
+    Output bit i of H_s(delta) is the parity of seed & mask[i], xored
+    with delta's tail bit i for [T | I]; mask[i] holds bit d-1-q for each
+    seed index q of block row i that a set head bit of delta selects.
+    """
     if len(delta) != params.input_len:
         raise ValueError("delta length must equal input_len")
     _check_guard(params.input_len, MAX_COLLISION_INPUT_LEN, "input_len")
     _check_guard(params.seed_len, MAX_COLLISION_SEED_LEN, "seed_len")
-    d = params.seed_len
-    masks, affine = _row_masks(params, delta)
-    seeds = np.arange(1 << d, dtype=np.uint64)
+    d, m = params.seed_len, params.output_len
+    idx = block_seed_index(params)
+    K = idx.shape[1]
+    head = delta.to_u8()[:K].astype(bool)
+    masks = np.bitwise_or.reduce(np.where(head, 1 << (d - 1 - idx), 0),
+                                 axis=1)
+    # the identity tail (empty for REGULAR) is the affine part of each row
+    tail = delta.to_int() & ((1 << (params.input_len - K)) - 1)
+    # uint32 holds every seed under the guard and halves the traffic
+    seeds = np.arange(1 << d, dtype=np.uint32)
     ok = np.ones(1 << d, dtype=bool)
-    for i in range(params.output_len):
-        bit = np.bitwise_count(seeds & np.uint64(masks[i])) & 1
-        ok &= bit == affine[i]
+    for i, mask in enumerate(masks.astype(np.uint32)):
+        ok &= (np.bitwise_count(seeds & mask) & 1) == (tail >> (m - 1 - i)) & 1
     return Fraction(int(ok.sum()), 1 << d)
 
 
@@ -98,52 +82,35 @@ def collision_probability(params: ExtractorParams, x1: BitString,
     return zero_hash_probability(params, x1 ^ x2)
 
 
-def _column_values_all_seeds(params: ExtractorParams) -> np.ndarray:
-    """Column j of the Toeplitz block as an m-bit integer, for all seeds.
+def _output_dist_chunks(params: ExtractorParams, input_dist: np.ndarray
+                        ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (seeds, dists) for consecutive chunks of seed integers.
 
-    Returns an array of shape (2**d, K) (regular family: K = n) where
-    entry [sv, j] has bit (m-1-i) equal to matrix entry [i][j] under
-    seed integer sv.
+    Row r of dists is the exact output distribution under seed seeds[r].
+    A chunk holds 2**17 >> n seeds (all of them if fewer), so each step
+    touches at most 2**17 (input, seed) pairs whatever the shape.
     """
-    n = params.input_len
-    m = params.output_len
-    d = params.seed_len
-    K = n - m if params.family is Family.MODIFIED else n
-    seeds = np.arange(1 << d, dtype=np.uint64)
-    cols = np.zeros((1 << d, K), dtype=np.uint32)
-    for j in range(K):
-        for i in range(m):
-            if params.family is Family.MODIFIED:
-                q = i - j if i >= j else m - 1 + (j - i)
-            else:
-                q = i - j + n - 1
-            bit = ((seeds >> np.uint64(d - 1 - q)) & 1).astype(np.uint32)
-            cols[:, j] |= bit << np.uint32(m - 1 - i)
-    return cols
-
-
-def _per_seed_output_dists(
-        params: ExtractorParams,
-        input_dist: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the exact output distribution for each seed integer in order."""
-    n = params.input_len
-    m = params.output_len
-    modified = params.family is Family.MODIFIED
-    K = n - m if modified else n
-    cols = _column_values_all_seeds(params)
-    tvals = np.arange(1 << m, dtype=np.uint32)
-    for sv in range(1 << params.seed_len):
-        # subset-xor dynamic program: block output for every head value
-        t_all = np.zeros(1 << K, dtype=np.uint32)
-        row = cols[sv]
-        for p in range(K):
-            # integer bit p of the head toggles input column K-1-p
-            t_all[1 << p: 2 << p] = t_all[: 1 << p] ^ row[K - 1 - p]
-        if modified:
-            z_all = (t_all[:, None] ^ tvals[None, :]).ravel()
-        else:
-            z_all = t_all
-        yield np.bincount(z_all, weights=input_dist, minlength=1 << m)
+    n, m, d = params.input_len, params.output_len, params.seed_len
+    shifts = (d - 1 - block_seed_index(params)).T[:, :, None]
+    tail_len = n - shifts.shape[0]
+    row_bits = (1 << (m - 1 - np.arange(m)))[:, None]
+    chunk = min(1 << d, (1 << 17) >> n)
+    weights = np.repeat(input_dist, chunk)
+    for lo in range(0, 1 << d, chunk):
+        seeds = np.arange(lo, lo + chunk)
+        # block column j as an m-bit int per seed, row i at bit m-1-i
+        cols = (((seeds >> shifts) & 1) * row_bits).sum(axis=1)
+        # z[x, r] = (r << m) | H_r x by the subset-xor recurrence: bit p
+        # of x toggles input column n-1-p, an identity column (1 << p)
+        # for the [T | I] tail; the offset r << m gives every (seed,
+        # output) pair its own bincount slot
+        z = np.empty((1 << n, chunk), dtype=np.intp)
+        z[0] = np.arange(chunk) << m
+        for p in range(n):
+            col = cols[n - 1 - p] if p >= tail_len else 1 << p
+            z[1 << p: 2 << p] = z[:1 << p] ^ col
+        yield seeds, np.bincount(z.ravel(), weights,
+                                 chunk << m).reshape(chunk, 1 << m)
 
 
 def _check_dist_args(params: ExtractorParams, input_dist: np.ndarray,
@@ -179,14 +146,9 @@ def exact_extraction_distance(params: ExtractorParams,
         The joint distance as a float in [0, 1].
     """
     seed_dist = _check_dist_args(params, input_dist, seed_dist)
-    m = params.output_len
-    u = 1.0 / (1 << m)
-    total = 0.0
-    for sv, out in enumerate(_per_seed_output_dists(params, input_dist)):
-        w = float(seed_dist[sv])
-        if w:
-            total += w * 0.5 * float(np.abs(out - u).sum())
-    return total
+    u = 1.0 / (1 << params.output_len)
+    return 0.5 * sum(float(seed_dist[seeds] @ np.abs(out - u).sum(axis=1))
+                     for seeds, out in _output_dist_chunks(params, input_dist))
 
 
 def exact_output_distance(params: ExtractorParams,
@@ -199,13 +161,9 @@ def exact_output_distance(params: ExtractorParams,
     joint distance from `exact_extraction_distance`.
     """
     seed_dist = _check_dist_args(params, input_dist, seed_dist)
-    m = params.output_len
-    mix = np.zeros(1 << m)
-    for sv, out in enumerate(_per_seed_output_dists(params, input_dist)):
-        w = float(seed_dist[sv])
-        if w:
-            mix += w * out
-    return 0.5 * float(np.abs(mix - 1.0 / (1 << m)).sum())
+    mix = sum(seed_dist[seeds] @ out
+              for seeds, out in _output_dist_chunks(params, input_dist))
+    return 0.5 * float(np.abs(mix - 1.0 / (1 << params.output_len)).sum())
 
 
 def matrix_rank_gf2(mat: np.ndarray) -> int:

@@ -15,6 +15,10 @@ Matrix entries for the modified family (K = n - m block columns):
     H[i][j] = s[i - j]                    for j < K, i >= j
     H[i][j] = s[m - 1 + (j - i)]          for j < K, i < j
 
+`block_seed_index` states this layout once, as the array of seed
+indices of the block; `hash_matrix` and the exhaustive `oracles` read
+the seed through it.
+
 `extract` is a straightforward arbitrary-precision implementation used
 as the reference; `extract_fast` hands the seed's and the input's ints
 to `_kernels`, which computes the same product by whichever of row
@@ -99,27 +103,32 @@ class SeededHash:
                 f"m={self.params.output_len}), got {len(self.seed)}")
 
 
+def block_seed_index(params: ExtractorParams) -> np.ndarray:
+    """Seed index of every Toeplitz block entry, as an m x K int array.
+
+    Entry [i, j] is the seed position q with T[i][j] = s[q]; K is n - m
+    for MODIFIED (the block left of the identity) and n for REGULAR.
+    This is the one statement of the layout that `hash_matrix` and the
+    `oracles` enumerators read.
+    """
+    m = params.output_len
+    if params.family is Family.REGULAR:
+        n = params.input_len
+        return np.subtract.outer(np.arange(m), np.arange(n)) + n - 1
+    diff = np.subtract.outer(np.arange(m), np.arange(params.input_len - m))
+    return np.where(diff >= 0, diff, m - 1 - diff)
+
+
 def hash_matrix(h: SeededHash) -> np.ndarray:
     """Materialize the full hash matrix as an m x n 0/1 uint8 array.
 
     Intended for inspection and small-size cross-checks; costs O(n * m)
     memory, so keep n modest.
     """
-    n = h.params.input_len
-    m = h.params.output_len
-    seed_u8 = h.seed.to_u8()
-    rows = np.arange(m)[:, None]
+    block = h.seed.to_u8()[block_seed_index(h.params)]
     if h.params.family is Family.REGULAR:
-        cols = np.arange(n)[None, :]
-        return seed_u8[rows - cols + n - 1]
-    K = n - m
-    out = np.zeros((m, n), dtype=np.uint8)
-    if K > 0:
-        cols = np.arange(K)[None, :]
-        idx = np.where(rows >= cols, rows - cols, m - 1 + (cols - rows))
-        out[:, :K] = seed_u8[idx]
-    out[np.arange(m), K + np.arange(m)] = 1
-    return out
+        return block
+    return np.hstack([block, np.eye(h.params.output_len, dtype=np.uint8)])
 
 
 def extract(h: SeededHash, x: BitString) -> BitString:

@@ -266,6 +266,44 @@ def test_combine_public_cli_with_report(tmp_path, capsys):
     assert "key1_remaining_hmin" in doc
 
 
+def _combine_argv(tmp_path, mode, *extra):
+    return ["combine", "--mode", mode,
+            "--key1", str(tmp_path / "k1.qbits"),
+            "--spec1", str(tmp_path / "k1.kv"),
+            "--key2", str(tmp_path / "k2.qbits"),
+            "--spec2", str(tmp_path / "k2.kv"),
+            "--eps", "2^-32", *extra]
+
+
+def test_combine_cli_sizes_from_min_entropy(tmp_path, capsys):
+    # a 128-bit key and a 129-bit key of 5 bits: 133 - 64 + 2 = 71 in
+    # public mode; private mode needs full-entropy keys and exits 2
+    rng = np.random.default_rng(67)
+    _write_bits(tmp_path / "k1.qbits", rng, 128)
+    _write_bits(tmp_path / "k2.qbits", rng, 129)
+    _write_bits(tmp_path / "seed.qbits", rng, 256)
+    _write_spec(tmp_path / "k1.kv", "k1", 128, 128)
+    _write_spec(tmp_path / "k2.kv", "k2", 129, 5)
+    code = main(_combine_argv(tmp_path, "public", "--seed",
+                              str(tmp_path / "seed.qbits"),
+                              "--seed-after-keys"))
+    assert code == 0
+    assert capsys.readouterr().out == "71\n"
+    assert main(_combine_argv(tmp_path, "private")) == 2
+    assert "infeasible:" in capsys.readouterr().err
+
+
+def test_combine_cli_oversize_requested_len_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(68)
+    _write_bits(tmp_path / "k1.qbits", rng, 128)
+    _write_bits(tmp_path / "k2.qbits", rng, 127)
+    _write_spec(tmp_path / "k1.kv", "k1", 128, 128)
+    _write_spec(tmp_path / "k2.kv", "k2", 127, 127)
+    assert main(_combine_argv(tmp_path, "private",
+                              "--requested-len", "67")) == 2
+    assert "infeasible:" in capsys.readouterr().err
+
+
 def test_combine_missing_ordering_flag_errors(tmp_path, capsys):
     rng = np.random.default_rng(66)
     _write_bits(tmp_path / "k1.qbits", rng, 128)

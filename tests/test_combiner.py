@@ -195,6 +195,67 @@ def test_public_combine_many_keys():
         combine_public_many(keys, seed, SecurityLevel.zero(), E32)
 
 
+def _public_request(rng, spec1, spec2, **kwargs):
+    key1 = BitString.from_u8(rng.integers(0, 2, spec1.length, np.uint8))
+    key2 = BitString.from_u8(rng.integers(0, 2, spec2.length, np.uint8))
+    seed = BitString.from_u8(
+        rng.integers(0, 2, spec1.length + spec2.length - 1, np.uint8))
+    return CombineRequest(key1=key1, spec1=spec1, key2=key2, spec2=spec2,
+                          mode=CombineMode.PUBLIC_SEED, eps_hash=E32,
+                          seed=seed, seed_after_keys=True, **kwargs)
+
+
+def test_public_combine_sized_from_min_entropy():
+    # 256 + 10 bits of min-entropy at 2^-32: 266 - 64 + 2 = 204, not the
+    # 450 that the key lengths would give
+    rng = np.random.default_rng(41)
+    full = SourceSpec.secure("k1", 256, SecurityLevel.zero())
+    weak = SourceSpec("k2", 256, 10.0, SecurityLevel.zero())
+    assert len(combine_public(_public_request(rng, full, weak)).output) == 204
+    # a HILL floor of 100 bits counts as 100: 356 - 64 + 2 = 294
+    floored = model_pqc_key(256, SecurityLevel.zero(), hill_floor=100)
+    assert len(combine_public(_public_request(rng, full,
+                                              floored)).output) == 294
+    # a key of less than one bit still adds its share: 256.5 - 62 = 194
+    tiny = SourceSpec("k2", 16, 0.5, SecurityLevel.zero())
+    assert len(combine_public(_public_request(rng, full, tiny)).output) == 194
+    # the output-reveal cap is hmin - lambda, here 10 - 4
+    capped = combine_public(_public_request(
+        rng, full, weak, threat=ThreatCase.REVEAL_OUTPUT, lambda2=4.0))
+    assert len(capped.output) == 6
+
+
+def test_private_combine_refuses_partial_entropy_keys():
+    rng = np.random.default_rng(42)
+    req = _private_request(rng)
+    weak = SourceSpec("k2", 127, 100.5, SecurityLevel.zero())
+    with pytest.raises(Infeasible) as exc:
+        combine_private(CombineRequest(
+            key1=req.key1, spec1=req.spec1, key2=req.key2, spec2=weak,
+            mode=CombineMode.PRIVATE_SEED, eps_hash=E32))
+    assert exc.value.shortfall_bits == 26.5
+
+
+def test_public_combine_many_refuses_low_entropy_keys():
+    # two 10-bit keys of 1 bit each at 2^-2: 2 - 4 + 2 = 0 bits, where
+    # their lengths would give 18
+    rng = np.random.default_rng(43)
+    keys = [(BitString.from_u8(rng.integers(0, 2, 10, np.uint8)),
+             SourceSpec(f"k{i}", 10, 1.0, SecurityLevel.zero()))
+            for i in (1, 2)]
+    seed = BitString.from_u8(rng.integers(0, 2, 19, np.uint8))
+    with pytest.raises(Infeasible):
+        combine_public_many(keys, seed, SecurityLevel.zero(),
+                            SecurityLevel(2.0), seed_after_keys=True)
+
+
+def test_requested_len_past_the_bound_is_infeasible():
+    rng = np.random.default_rng(44)
+    with pytest.raises(Infeasible) as exc:
+        combine_private(_private_request(rng, requested_len=70))
+    assert exc.value.shortfall_bits == 70 - 66
+
+
 def test_xor_baseline_and_residual_bookkeeping():
     a = BitString.from_str("1100")
     b = BitString.from_str("1010")

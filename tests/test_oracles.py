@@ -133,3 +133,46 @@ def test_every_seed_gives_full_rank_matrix():
         for sv in range(1 << params.seed_len):
             h = SeededHash(params, BitString.from_int(sv, params.seed_len))
             assert matrix_rank_gf2(hash_matrix(h)) == m
+
+
+def _brute_force_outputs(params):
+    """out[s, x] = extract under seed integer s of input integer x."""
+    n, d = params.input_len, params.seed_len
+    return np.array([[extract(SeededHash(params, BitString.from_int(s, d)),
+                              BitString.from_int(x, n)).to_int()
+                      for x in range(1 << n)] for s in range(1 << d)])
+
+
+_SMALL_SHAPES = [(family, n, m) for family in ("modified", "regular")
+                 for n in range(1, 6) for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("family,n,m", _SMALL_SHAPES)
+def test_oracles_match_brute_force_through_extract(family, n, m):
+    params = getattr(ExtractorParams, family)(n, m)
+    out = _brute_force_outputs(params)
+    seeds = 1 << params.seed_len
+    for delta in range(1 << n):
+        hits = int((out[:, delta] == 0).sum())
+        assert zero_hash_probability(
+            params, BitString.from_int(delta, n)) == Fraction(hits, seeds)
+    if n > 4:
+        return
+    rng = np.random.default_rng(100 * n + m)
+    for trial in range(3):
+        dist = rng.random(1 << n)
+        dist /= dist.sum()
+        seed_dist = None
+        weights = np.full(seeds, 1.0 / seeds)
+        if trial:
+            seed_dist = rng.random(seeds)
+            seed_dist /= seed_dist.sum()
+            weights = seed_dist
+        per_seed = np.array([np.bincount(row, dist, minlength=1 << m)
+                             for row in out])
+        joint = float(weights @ (0.5 * np.abs(per_seed - 2.0 ** -m).sum(1)))
+        marginal = 0.5 * float(np.abs(weights @ per_seed - 2.0 ** -m).sum())
+        assert exact_extraction_distance(params, dist, seed_dist) == \
+            pytest.approx(joint, abs=1e-12)
+        assert exact_output_distance(params, dist, seed_dist) == \
+            pytest.approx(marginal, abs=1e-12)
