@@ -216,7 +216,8 @@ def test_public_combine_sized_from_min_entropy():
     floored = model_pqc_key(256, SecurityLevel.zero(), hill_floor=100)
     assert len(combine_public(_public_request(rng, full,
                                               floored)).output) == 294
-    # a key of less than one bit still adds its share: 256.5 - 62 = 194
+    # a key of less than one bit still adds its share: 256.5 - 64 + 2
+    # floors to 194
     tiny = SourceSpec("k2", 16, 0.5, SecurityLevel.zero())
     assert len(combine_public(_public_request(rng, full, tiny)).output) == 194
     # the output-reveal cap is hmin - lambda, here 10 - 4
