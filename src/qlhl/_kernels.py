@@ -35,12 +35,13 @@ exact:
   `width` little-endian bytes (at least L bits, and room for every
   window below) and built by 8 doubling steps on its uint64 view. The
   product is the xor over the input bytes v_p of xr of E[v_p] >> 8p,
-  whose low m bits are bytes p .. p + 8 ceil(m / 64) - 1 of row E[v_p].
-  The rows are gathered (np.take) a chunk of at most _BYTES_CHUNK_BYTES
-  at a time; row i of a chunk, p = start + i, has its window at byte
-  start + i * (width + 1), so one strided, unaligned uint64 view covers
-  every window of the chunk, and one xor-reduce sums them. The form for
-  K in the thousands, up to L of about 32,000-40,000 bits.
+  whose low m bits are the window of bytes p .. p + 8 ceil(m / 64) - 1
+  of row E[v_p]. A uint64 view of E of shape (256, nx, words), strides
+  (width, 1, 8), holds the window of row v at byte p at [v, p], so one
+  advanced index, windows[v_p, p], gathers the windows of a chunk of
+  input bytes as contiguous rows, at most _BYTES_CHUNK_BYTES in all, and
+  one xor-reduce sums them. The form for K in the thousands, up to L of
+  about 120,000 bits.
 - FFT: output bit i is the parity of coefficient i of the 'valid'
   convolution window of a, the L diagonals in order (a[t] is bit
   L - 1 - t of d), with x, the K bits of xr in order:
@@ -71,17 +72,18 @@ exact:
   bounded too.
 
 Memory of the byte tables. E takes 256 * width bytes, about 32 L: 264
-KB for the (3,111, 5,081) block and 1 MB for the 32 kbit one, and a
-gathered chunk at most _BYTES_CHUNK_BYTES = 512 KiB.
+KB for the (3,111, 5,081) block and 1 MB for the 32 kbit one. A
+gathered chunk takes at most _BYTES_CHUNK_BYTES = 512 KiB and is
+allocated per call.
 
-Kept arrays. The FFT's work arrays, the byte tables' table and gather
-chunk, and the chained MAC's packed block matrix and padded message
-bytes (filled by handshake.mac._message_blocks) belong to the calling
-thread (threading.local, _kept) and are reused by its next call. When a
+Kept arrays. The FFT's work arrays, the byte tables' table, and the
+chained MAC's packed block matrix and padded message bytes (filled by
+handshake.mac._message_blocks) belong to the calling thread
+(threading.local, _kept) and are reused by its next call. When a
 product or a chained MAC returns, they are all dropped if together they
 pass _KEPT_BYTES, which the 267 KB matrix and 262 KB of bytes of a
-256 KB tag (611 KB and 600 KB for a 600,000-byte one) and the 1.5 MB of
-the 32 kbit block's byte tables do not. Allocated per call, arrays of
+256 KB tag (611 KB and 600 KB for a 600,000-byte one) and the 1 MB of
+the 32 kbit block's byte table do not. Allocated per call, arrays of
 128 KiB and more, above glibc's mmap threshold, took fresh pages on many
 calls, depending on what the process had allocated before: the 32 kbit
 block's FFT arrays and the 256 KB tag's padded bytes on every one. Kept,
@@ -111,23 +113,24 @@ squares on per-call timings on a 2-vCPU x86 host (CPython 3.11, numpy
 2.4, pocketfft) over L from 256 to 24,000 bits: an int operation over L
 bits costs _INT_OP_US + _INT_OP_US_PER_BIT * L microseconds and a row
 parity _ROW_US + _ROW_US_PER_BIT * L. A byte-table product costs
-_BYTES_US, plus _BYTES_US_PER_TABLE_BYTE per byte of E (256 * width),
-_BYTES_US_PER_GATHER_BYTE per gathered byte (ceil(K / 8) * width) and
-_BYTES_US_PER_WORD per window word summed (ceil(K / 8) * ceil(m / 64)).
-These four were fitted on the same host over K from 62 to 60,000 and m
-from 32 to 60,000, timing every form in turn in a loop that runs an
-exact reference product and touches 1 MB between calls, as the
-benchmark's checks do; each shape's byte-table times were scaled by how
-far that shape's other forms ran from their model, since the host's
-speed drifts by up to 2x over minutes. In that loop narrow blocks
-(K = 62, m = 5,186) take about 18 us in nibble columns against 110 us
-in byte tables and 350 us in the FFT, a 64-bit tag of 16 kbit about
-0.2 ms in rows, the (2,926, 2,622) handshake block 0.15 ms in byte
-tables against 0.33 ms in columns, the (3,111, 5,081) privacy
-amplification block 0.20 ms against 0.39 ms in the FFT, the 32 kbit one
-1.0 ms against 2.0 ms, and a (40,000, 60,000) block 4.9 ms in the FFT
-against 6.6 ms in byte tables. The ranking is cached per (K, m) for the
-last _FORM_CACHE_SHAPES shapes.
+_BYTES_US, plus _BYTES_US_PER_TABLE_BYTE per byte of E (256 * width)
+and _BYTES_US_PER_WORD per window word gathered and summed
+(ceil(K / 8) * ceil(m / 64)). These three were fitted by least squares
+on relative error, on the same host over K from 62 to 60,000 and m from
+32 to 60,000, timing every form in turn in a loop that runs an exact
+reference product and touches 1 MB between calls, as the benchmark's
+checks do; each shape's byte-table times were scaled by how far that
+shape's other forms ran from their model, since the host's speed drifts
+by up to 2x over minutes. In that loop narrow blocks (K = 62,
+m = 5,186) take about 20 us in nibble columns against 100 us in byte
+tables and 340 us in the FFT, a 64-bit tag of 16 kbit about 0.11 ms in
+rows, the (841, 3,255) privacy amplification block 60 us in columns
+against 110 us in byte tables, the (2,926, 2,622) handshake block
+0.12 ms in byte tables against 0.20 ms in columns, the (3,111, 5,081)
+privacy amplification block 0.15 ms against 0.33 ms in the FFT, the
+32 kbit one 0.67 ms against 1.4 ms, and a (40,000, 60,000) block 3.6 ms
+in byte tables against 4.3 ms in the FFT. The ranking is cached per
+(K, m) for the last _FORM_CACHE_SHAPES shapes.
 
 The FFT's cost at transform size F is _FFT_US plus, per transform,
 _FFT_US_PER_POINT_LOG * F * log2 F and, per spectrum product beyond
@@ -216,10 +219,9 @@ _INT_OP_US_PER_BIT = 0.000035
 _ROW_US = 0.2
 _ROW_US_PER_BIT = 0.00018
 _FFT_US = 44.0
-_BYTES_US = 56.0
-_BYTES_US_PER_TABLE_BYTE = 0.00028
-_BYTES_US_PER_GATHER_BYTE = 0.000097
-_BYTES_US_PER_WORD = 0.0005
+_BYTES_US = 54.0
+_BYTES_US_PER_TABLE_BYTE = 0.00049
+_BYTES_US_PER_WORD = 0.001
 # per transform and point * log2(points), and per spectrum product and
 # point, for transforms of up to _FFT_CACHE_POINTS points and above
 _FFT_US_PER_POINT_LOG = (0.001, 0.0013)
@@ -235,7 +237,7 @@ _FFT_MAX_POINTS = 1 << 19
 # a thread keeps its kernel work arrays between calls up to this many
 # bytes in all
 _KEPT_BYTES = 1 << 22
-# rows of a byte-table product gathered per step, in bytes
+# windows of a byte-table product gathered per step, in bytes
 _BYTES_CHUNK_BYTES = 1 << 19
 
 # byte -> byte with its 8 bits in reverse order
@@ -304,30 +306,28 @@ def _byte_shape(k: int, m: int) -> tuple[int, int, int]:
 def _bytes(d: int, xr: int, k: int, m: int) -> int:
     """Block product by a 256-row table of byte column sums."""
     nx, words, width = _byte_shape(k, m)
-    table, gather = _byte_arrays(width, nx)
+    table = _kept("table", 256 * width, np.uint8)
     # row q of shifted is d >> q, from d's words and the next word up
     # (numpy shifts uint64 by 64 to 0)
     dw = np.frombuffer(d.to_bytes(width + 8, "little"), "<u8")
     qs = np.arange(8, dtype=np.uint64)[:, None]
     shifted = (dw[:-1] >> qs) | (dw[1:] << (64 - qs))
     # E[v] = xor of d >> q over the bits q set in v, by 8 doubling steps
-    rows = table.view("<u8")
+    rows = table.view("<u8").reshape(256, width // 8)
     rows[0] = 0
     for q in range(8):
         np.bitwise_xor(rows[:1 << q], shifted[q], out=rows[1 << q:2 << q])
-    # the xor over input bytes v_p of E[v_p] >> 8p, low words first: row
-    # i of a chunk gathered from input byte `start` on is E[v_p] for
-    # p = start + i, and its window of bytes p .. p + 8 words - 1 starts
-    # start + i * (width + 1) bytes into the chunk
+    # windows[v, p] is the window of bytes p .. p + 8 words - 1 of E[v],
+    # the low words of E[v] >> 8p; the product is the xor of
+    # windows[v_p, p] over the input bytes, a chunk of rows at a time
+    windows = np.ndarray((256, nx, words), "<u8", table, 0, (width, 1, 8))
     v = np.frombuffer(xr.to_bytes(nx, "little"), np.uint8)
+    p = np.arange(nx)
     acc = np.zeros(words, "<u8")
-    step = gather.shape[0]
+    step = max(1, _BYTES_CHUNK_BYTES // (8 * words))
     for start in range(0, nx, step):
-        chunk = v[start:start + step]
-        np.take(table, chunk, axis=0, out=gather[:chunk.size], mode="clip")
-        windows = np.ndarray((chunk.size, words), "<u8", gather, start,
-                             (width + 1, 8))
-        acc ^= np.bitwise_xor.reduce(windows, axis=0)
+        chunk = slice(start, start + step)
+        acc ^= np.bitwise_xor.reduce(windows[v[chunk], p[chunk]], axis=0)
     _trim_work()
     return int.from_bytes(acc.tobytes(), "little") & ((1 << m) - 1)
 
@@ -362,19 +362,6 @@ def _work_arrays(points: int, nx: int) -> tuple:
                     np.complex128).reshape(2 * nx + 1, half)
     return (spectra[:nx], spectra[nx:2 * nx], spectra[2 * nx],
             _kept("real", points, np.float64))
-
-
-def _byte_arrays(width: int, nx: int) -> tuple:
-    """Views (table, gather) of this thread's kept arrays for a byte-table
-    product of nx input bytes and rows of `width` bytes: the 256-row
-    table and a chunk of at most _BYTES_CHUNK_BYTES of gathered rows."""
-    rows = max(1, min(nx, _BYTES_CHUNK_BYTES // width))
-    # a chunk of fewer rows than the input has fits one buffer of
-    # _BYTES_CHUNK_BYTES whatever the width, so that it is not regrown
-    size = rows * width if rows == nx else max(width, _BYTES_CHUNK_BYTES)
-    gather = _kept("gather", size, np.uint8)[:rows * width]
-    return (_kept("table", 256 * width, np.uint8).reshape(256, width),
-            gather.reshape(rows, width))
 
 
 def _trim_work() -> None:
@@ -507,7 +494,6 @@ def _forms(k: int, m: int) -> tuple:
     costs = {"_rows": m * (_ROW_US + _ROW_US_PER_BIT * length),
              "_columns": (16 + 2 * -(-k // 4)) * op,
              "_bytes": (_BYTES_US + _BYTES_US_PER_TABLE_BYTE * 256 * width
-                        + _BYTES_US_PER_GATHER_BYTE * nx * width
                         + _BYTES_US_PER_WORD * nx * words),
              "_fft": _fft_plan(k, m)[1]}
     return tuple(sorted(costs, key=costs.get))

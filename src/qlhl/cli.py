@@ -397,7 +397,7 @@ def _selftest_fast_path() -> str:
     # a block the cost model gives the FFT, checked on 64 seeded rows by
     # a direct dot product: row i of [T | I] has s[i - j] at j <= i,
     # s[m - 1 + j - i] at i < j < K and the identity at K + i
-    n, m = 100_000, 57_885
+    n, m = 200_000, 115_000
     k = n - m
     if _kernels._forms(k, m)[0] != "_fft":
         raise AssertionError(f"n={n} m={m} no longer ranks the FFT first")

@@ -342,12 +342,16 @@ def xor_vs_extractor_report(spec1: SourceSpec, spec2: SourceSpec,
     Scenario: the combined output and key2 are both revealed. The XOR
     combiner emits |key| bits, so key1 = output xor key2 is determined.
     The extraction combiner sized for a lambda1 residual keeps key1's
-    conditional entropy at or above lambda1.
+    conditional entropy at or above lambda1. Its case bound takes each
+    key's length as its entropy, so, as `combine_private` does, it emits
+    nothing unless both keys have full entropy.
     """
-    report = combine_case_bound(ThreatCase.REVEAL_OUTPUT_AND_KEY,
-                                spec1.length, spec2.length, spec1.eps,
-                                spec2.eps, eps_hash, lambda1, 0.0)
-    ext_len = max(0, report.max_output_len)
+    ext_len = 0
+    if spec1.is_secure and spec2.is_secure:
+        report = combine_case_bound(ThreatCase.REVEAL_OUTPUT_AND_KEY,
+                                    spec1.length, spec2.length, spec1.eps,
+                                    spec2.eps, eps_hash, lambda1, 0.0)
+        ext_len = max(0, report.max_output_len)
     xor_len = min(spec1.length, spec2.length)
     xor_res = residual_after_reveal(spec1, xor_len, lambda1)
     ext_res = residual_after_reveal(spec1, ext_len, lambda1)

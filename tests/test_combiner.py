@@ -282,6 +282,29 @@ def test_xor_vs_extractor_contrast_report():
     assert doc["extractor_lambda_satisfied"] == "true"
 
 
+@pytest.mark.parametrize("hmin1, satisfied", [(10.0, "false"),
+                                               (100.0, "true")])
+def test_xor_vs_extractor_report_sizes_from_min_entropy(hmin1, satisfied):
+    # the private-seed combiner refuses a key below full entropy, so the
+    # report's extractor emits nothing and key1 keeps all of its hmin;
+    # 10 bits cannot cover lambda1 = 32 whatever the output
+    spec1 = SourceSpec("k1", 256, hmin1, SecurityLevel.zero(),
+                       EntropyKind.MIN)
+    spec2 = SourceSpec.secure("k2", 256, SecurityLevel.zero())
+    doc = xor_vs_extractor_report(spec1, spec2, E32, lambda1=32)
+    assert doc["extractor_output_len"] == 0
+    assert doc["extractor_key1_remaining_hmin"] == hmin1
+    assert doc["extractor_lambda_satisfied"] == satisfied
+    assert doc["xor_output_len"] == 256
+    assert doc["xor_key1_remaining_hmin"] == 0.0
+    key1 = BitString.from_u8(np.zeros(256, dtype=np.uint8))
+    with pytest.raises(Infeasible):
+        combine_private(CombineRequest(
+            key1=key1, spec1=spec1, key2=key1, spec2=spec2,
+            mode=CombineMode.PRIVATE_SEED, eps_hash=E32, lambda1=32,
+            threat=ThreatCase.REVEAL_OUTPUT_AND_KEY, auto_truncate=True))
+
+
 def test_model_pqc_key_is_computational():
     spec = model_pqc_key(128, SecurityLevel(40.0))
     assert spec.kind == EntropyKind.HILL

@@ -118,8 +118,10 @@ def test_prop_edge_shapes_match_reference_on_both_paths(data):
 
 
 @pytest.mark.parametrize("family, n, m, fft", [
-    (Family.MODIFIED, 40960, 8192, True),    # K = 32,768
-    (Family.REGULAR, 32768, 4096, True),
+    (Family.MODIFIED, 104000, 56000, True),  # K = 48,000
+    (Family.REGULAR, 64000, 48000, True),
+    (Family.MODIFIED, 40960, 8192, False),   # K = 32,768
+    (Family.REGULAR, 32768, 4096, False),
     (Family.MODIFIED, 32768, 15492, False),  # pa_bulk, 32 kbit
     (Family.MODIFIED, 4096, 411, False),
     (Family.REGULAR, 8192, 2271, False),
@@ -156,6 +158,34 @@ def test_workload_shapes_take_their_form(monkeypatch, family, n, m, form):
     assert ran == [form]
 
 
+# block shapes (K, m) that perfbench's workloads hand the kernel
+_PA_BULK_SHAPES = ((841, 3255), (2469, 1627), (3111, 5081), (3685, 411),
+                   (4096, 1627), (4103, 12281), (8192, 2271), (13076, 3308),
+                   (17276, 15492))
+_HANDSHAKE_SHAPES = (
+    (910, 1338), (974, 1530), (1086, 1020), (1150, 1148), (1294, 2490),
+    (1358, 2682), (1390, 702), (1454, 766), (1470, 1916), (1502, 384),
+    (1534, 2044), (1566, 384), (1902, 1342), (1950, 768), (1966, 1406),
+    (2014, 768), (2062, 4794), (2126, 4986), (2238, 3708), (2302, 3836),
+    (2718, 1536), (2782, 1536), (2926, 2622), (2990, 2686))
+_KEYMIX_SHAPES = ((62, 130), (62, 3010), (62, 5058), (62, 5186), (62, 5826),
+                  (160, 224), (319, 129), (353, 159), (446, 194), (544, 96))
+# the shapes of those two workloads that ran faster in nibble columns than
+# in byte tables in the benchmark's loop
+_COLUMN_SHAPES = {(841, 3255), (910, 1338), (974, 1530), (1086, 1020),
+                  (1150, 1148)}
+
+
+def test_benchmark_shapes_rank_their_measured_form():
+    # narrow keymix blocks take nibble columns, and no privacy
+    # amplification or handshake block ranks the FFT first
+    for k, m in _KEYMIX_SHAPES:
+        assert _kernels._forms(k, m)[0] == "_columns", (k, m)
+    for k, m in _PA_BULK_SHAPES + _HANDSHAKE_SHAPES:
+        want = "_columns" if (k, m) in _COLUMN_SHAPES else "_bytes"
+        assert _kernels._forms(k, m)[0] == want, (k, m)
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_byte_table_edge_shapes_match_reference(family):
     # K % 8 and m % 64 at 0 and +-1, through the byte-table form alone
@@ -176,25 +206,52 @@ def test_byte_table_edge_shapes_match_reference(family):
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_byte_table_chunk_boundaries_match_reference(monkeypatch, rows):
-    # the input bytes are gathered `rows` at a time: 1 .. 3 * rows + 1
-    # input bytes put the last chunk at every fill, full ones included
+    # the input bytes' windows are summed `rows` at a time (chunks of
+    # rows * 8 * words bytes): 1 .. 3 * rows + 1 input bytes put the last
+    # chunk at every fill, full ones included; all-ones inputs read row
+    # v = 255 at every input byte
     rng = np.random.default_rng(rows)
     for nx in range(1, 3 * rows + 2):
         for k in (8 * nx - 7, 8 * nx):
             m = int(rng.integers(1, 300))
+            words = (m + 63) // 64
+            monkeypatch.setattr(_kernels, "_BYTES_CHUNK_BYTES",
+                                rows * 8 * words)
             d, xr = _random_operands(rng, k, m)
-            width = _kernels._byte_shape(k, m)[2]
-            monkeypatch.setattr(_kernels, "_BYTES_CHUNK_BYTES", rows * width)
-            assert _kernels._byte_arrays(width, nx)[1].shape[0] == \
-                min(nx, rows)
-            assert _kernels._bytes(d, xr, k, m) == \
-                _kernels._rows(d, xr, k, m), (k, m)
+            for x in (xr, (1 << k) - 1):
+                assert _kernels._bytes(d, x, k, m) == \
+                    _kernels._rows(d, x, k, m), (k, m, x)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_byte_table_last_window_ends_at_the_row_end(family):
+    # width == nx - 1 + 8 * words: the window of the last input byte
+    # ends at the last byte of its row, and an all-ones input reads row
+    # v = 255 there, the last bytes of the table
+    rng = np.random.default_rng(43)
+    for nx in (1, 9, 17, 65, 257):
+        for words in (1, 2, 5, 9):
+            k = 8 * nx
+            m = 64 * words - 7   # k + m - 1 = 8 * (nx - 1 + 8 * words)
+            if family is Family.REGULAR and m > k:
+                continue
+            assert _kernels._byte_shape(k, m) == \
+                (nx, words, nx - 1 + 8 * words)
+            n = k + m if family is Family.MODIFIED else k
+            h = _seeded_hash(family, n, m, rng)
+            for x in (BitString.from_u8(rng.integers(0, 2, n, np.uint8)),
+                      BitString.from_int((1 << n) - 1, n)):
+                d, xr, _, tail = _kernels._operands(
+                    family is Family.MODIFIED, h.seed.to_int(), n, m,
+                    x.to_int())
+                assert _kernels._bytes(d, xr, k, m) ^ tail == \
+                    extract(h, x).to_int(), (k, m)
 
 
 def test_byte_table_arrays_are_kept_and_bounded(monkeypatch):
-    # a thread keeps the table and the gather chunk of byte-table
-    # products, reuses them for shapes they fit, and drops them after a
-    # product whose arrays pass the bound
+    # a thread keeps the table of byte-table products, reuses it for
+    # shapes it fits, and drops it after a product whose arrays pass the
+    # bound
     monkeypatch.setattr(_kernels, "_KEPT_BYTES", 1 << 21)
     work = vars(_kernels._WORK)   # this thread's kept arrays
     work.clear()
@@ -206,7 +263,7 @@ def test_byte_table_arrays_are_kept_and_bounded(monkeypatch):
         table = work.get("table")
         assert _kernels._bytes(d, xr, k, m) == _kernels._columns(d, xr, k, m)
         size = sum(a.nbytes for a in work.values())
-        assert size <= _kernels._KEPT_BYTES
+        assert size <= _kernels._KEPT_BYTES and set(work) <= {"table"}
         kept.append((size > 0,
                      table is not None and work.get("table") is table))
     assert kept == [

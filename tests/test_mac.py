@@ -306,7 +306,7 @@ def _byte_table_block(rng):
 
 def test_tag_after_byte_table_product_keeps_both():
     # auth's 256 KB tag (5,448 blocks of 49 bytes, 267 KB) after the
-    # 32 kbit byte-table product (1.5 MB of table and gather chunk)
+    # 32 kbit byte-table product (1 MB of table)
     # stays under the shared bound, so neither drops the other's arrays
     work = vars(_kernels._WORK)
     work.clear()
@@ -316,13 +316,13 @@ def test_tag_after_byte_table_product_keeps_both():
     message = rng.integers(0, 256, 1 << 18, dtype=np.uint8).tobytes()
     tag = transcript_mac(fk, message, 64)
     assert _kernels._bytes(*shape) == want
-    table, gather = work["table"], work["gather"]
+    table = work["table"]
     assert transcript_mac(fk, message, 64) == tag
     blocks = work["blocks"]
     assert blocks.nbytes == 5448 * 49 == 266952
     assert _kernels._bytes(*shape) == want
     assert transcript_mac(fk, message, 64) == tag
-    assert work["table"] is table and work["gather"] is gather
+    assert work["table"] is table
     assert work["blocks"] is blocks
     assert sum(a.nbytes for a in work.values()) <= _kernels._KEPT_BYTES
 
@@ -330,19 +330,19 @@ def test_tag_after_byte_table_product_keeps_both():
 def test_long_tag_keeps_byte_table_arrays():
     # a 600,000-byte tag packs 12,468 blocks of 49 bytes (611 KB, kept
     # for 1,559 groups of 8 blocks), which with the 32 kbit block's byte
-    # tables stays under the shared bound: the next product finds its
-    # table and gather chunk kept
+    # table stays under the shared bound: the next product finds its
+    # table kept
     work = vars(_kernels._WORK)
     work.clear()
     rng = np.random.default_rng(52)
     shape, want = _byte_table_block(rng)
     assert _kernels._bytes(*shape) == want
-    table, gather = work["table"], work["gather"]
+    table = work["table"]
     fk = BitString.from_u8(rng.integers(0, 2, 512, dtype=np.uint8))
     transcript_mac(fk, bytes(600000), 64)
     assert work["blocks"].nbytes == 1559 * 8 * 49
     assert _kernels._bytes(*shape) == want
-    assert work["table"] is table and work["gather"] is gather
+    assert work["table"] is table
 
 
 def test_transcript_mac_hands_the_kernel_one_row_per_block(monkeypatch):
