@@ -3,12 +3,16 @@
 The pipeline turns two raw bitstrings X1, X2 from conditionally
 independent sources into one near-uniform output: X2 (truncated to
 |X1| - 1 bits) seeds the hash, X1 is the input. Feasibility for a
-requested output of A bits at hashing parameter eps is the inequality
+requested output of A bits at hashing parameter eps is
+`bounds.qlhl_general`'s inequality, the input entropy plus the seed term
+hmin(X2) - |X2| reaching `bounds.required_hmin(A, eps)`:
 
-    hmin(X1) + hmin(X2) >= A + |X2| + 2*log2(1/eps) - 2
+    hmin(X1) + hmin(X2) - |X2| >= A + 2*log2(1/eps) - 2
 
 evaluated with the pre-truncation length and entropy of X2 (truncating
-q bits lowers both sides by q, so q cancels).
+q bits lowers hmin(X2) and |X2| by q alike, so q cancels). It is checked
+as hmin(X1) + hmin(X2) >= required_hmin(A + |X2|, eps), and a refusal
+carries the difference as its shortfall.
 
 `WeakSourceSim` provides deterministic toy sources for tests: flat
 sources uniform over a 2**k subset, biased iid bits, or an explicit
@@ -25,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .bits import BitString, truncate
+from .bounds import required_hmin
 from .ledger import EntropyKind, SecurityLevel, SourceSpec, truncate_source
 from .toeplitz import ExtractorParams, SeededHash, extract_fast
 
@@ -216,8 +221,9 @@ def plan_bootstrap(x1: SourceSpec, x2: SourceSpec, out_len: int,
         raise ValueError(f"cannot extract {out_len} bits from a "
                          f"{x1.length}-bit input")
     q = x2.length - x1.length + 1
-    # budget check with pre-truncation |X2| and hmin2: q cancels
-    need = out_len + x2.length + 2.0 * eps_hash.neg_log2 - 2.0
+    # qlhl_general's bound with pre-truncation |X2| and hmin2 (q cancels),
+    # its seed term's -|X2| moved to the required side
+    need = required_hmin(out_len + x2.length, eps_hash)
     have = x1.hmin + x2.hmin
     if have < need:
         raise Infeasible(need - have)

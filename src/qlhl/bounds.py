@@ -1,15 +1,26 @@
 """Output-length bounds for seeded extraction against quantum side info.
 
-Every bound here has the shape
+Every bound here is the one leftover-hash bound
 
-    raw = entropy_term + seed_penalty - hash_penalty_bits + 2
+    raw = hmin_input + seed_penalty - hash_penalty_bits + constant_2
     max_output_len = floor(raw)
 
-where hash_penalty_bits = 2*log2(1/eps_hash) and the floor is applied
-exactly once, to the final value. Intermediate quantities stay real.
-An output of max_output_len bits produced by a 2-universal hash is then
-out_eps-close to uniform conditioned on the adversary's side
-information, with out_eps the sum of the contributing epsilons.
+with hash_penalty_bits = 2*log2(1/eps_hash) and constant_2 = 2. It is
+stated once, in `_bound`: each public bound gives only its entropy term
+(hmin_input), its seed term (seed_penalty, 0 for a uniform seed), its
+out_eps and any extra labelled terms, so the four named terms of every
+report add up to its raw_value. The one exception is the output-reveal
+cases, whose residual caps may cut raw below the bound; their entropy
+term is then solved back from the capped raw, so the sum still holds.
+The floor is applied exactly once, to the final value. An output of
+max_output_len bits produced by a 2-universal hash is then out_eps-close
+to uniform conditioned on the adversary's side information, with out_eps
+the sum of the contributing epsilons.
+
+`required_hmin` is the same bound solved for the entropy: what the
+sources must bring for a target length. `bootstrap.plan_bootstrap` and
+the handshake schedule (`handshake.schedule.budget`, `schedule_stage`)
+size their extractions through it rather than restating the bound.
 
 `combine_case_bound` evaluates the threat-case analyses for mixing two
 secret keys through one extraction, where the keys are split so that a
@@ -23,7 +34,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .ledger import EntropyKind, SecurityLevel
 
@@ -62,8 +73,9 @@ class BoundReport:
             force this to False on their own impossibility conditions).
         out_eps: distance of the output from uniform at that length.
         kind: weakest entropy notion the guarantee rests on.
-        terms: labeled additive breakdown, including the unfloored
-            `raw_value` for diagnostics.
+        terms: labeled additive breakdown: hmin_input + seed_penalty -
+            hash_penalty_bits + constant_2 equals the unfloored
+            `raw_value`; other labels are diagnostics.
     """
 
     max_output_len: int
@@ -73,8 +85,30 @@ class BoundReport:
     terms: Mapping[str, float]
 
 
-def _finish(raw: float, out_eps: SecurityLevel, kind: EntropyKind,
-            terms: dict, *, force_infeasible: bool = False) -> BoundReport:
+def _bound(entropy: float, seed_term: float, eps_hash: SecurityLevel,
+           out_eps: SecurityLevel, kind: EntropyKind, extra: dict, *,
+           sides: Optional[dict] = None, cap: Optional[float] = None,
+           force_infeasible: bool = False) -> BoundReport:
+    """Evaluate the leftover-hash bound and floor it once.
+
+    `extra` holds labelled terms outside the sum. `sides` maps labels to
+    alternative entropy terms and reports the bound at each (the caller
+    passes the smallest as `entropy`). `cap` is a limit that is not a
+    term of the bound: raw becomes the lesser of the bound (reported as
+    extraction_bound) and the cap, and the entropy term is solved back
+    from it.
+    """
+    penalty = 2.0 * eps_hash.neg_log2
+    raw = entropy + seed_term - penalty + 2.0
+    terms = {"hmin_input": entropy, "seed_penalty": seed_term,
+             "hash_penalty_bits": penalty, "constant_2": 2.0, **extra}
+    if sides:
+        for label, side in sides.items():
+            terms[label] = side + seed_term - penalty + 2.0
+    if cap is not None:
+        terms["extraction_bound"] = raw
+        raw = min(raw, cap)
+        terms["hmin_input"] = raw - seed_term + penalty - 2.0
     if math.isinf(raw):
         floored = -1
         terms["floor_applied"] = 0.0
@@ -103,11 +137,8 @@ def qlhl_basic(hmin_input: Number, eps_smooth: SecurityLevel,
     """
     if not 0 <= hmin_input < math.inf:
         raise ValueError("hmin_input must be finite and >= 0")
-    penalty = 2.0 * eps_hash.neg_log2
-    raw = hmin_input - penalty + 2.0
-    terms = {"hmin_input": float(hmin_input), "seed_penalty": 0.0,
-             "hash_penalty_bits": penalty, "constant_2": 2.0}
-    return _finish(raw, eps_smooth + eps_hash, kind, terms)
+    return _bound(float(hmin_input), 0.0, eps_hash, eps_smooth + eps_hash,
+                  kind, {})
 
 
 def qlhl_weak_seed_penalized(hmin_input: Number, eps_smooth: SecurityLevel,
@@ -130,13 +161,9 @@ def qlhl_weak_seed_penalized(hmin_input: Number, eps_smooth: SecurityLevel,
         raise ValueError("hmin_seed must not exceed seed_len")
     if not (0 <= hmin_input < math.inf and 0 <= hmin_seed < math.inf):
         raise ValueError("entropies must be finite and >= 0")
-    seed_penalty = 2.0 * (hmin_seed - seed_len)
-    penalty = 2.0 * eps_target.neg_log2
-    raw = hmin_input + seed_penalty - penalty + 2.0
-    terms = {"hmin_input": float(hmin_input), "seed_penalty": seed_penalty,
-             "hash_penalty_bits": penalty, "constant_2": 2.0,
-             "seed_gap_lambda": float(seed_len - hmin_seed)}
-    return _finish(raw, eps_smooth + eps_target, kind, terms)
+    return _bound(float(hmin_input), 2.0 * (hmin_seed - seed_len),
+                  eps_target, eps_smooth + eps_target, kind,
+                  {"seed_gap_lambda": float(seed_len - hmin_seed)})
 
 
 def qlhl_general(hmin_input: Number, eps_input: SecurityLevel,
@@ -155,13 +182,9 @@ def qlhl_general(hmin_input: Number, eps_input: SecurityLevel,
         raise ValueError("hmin_seed must not exceed seed_len")
     if not (0 <= hmin_input < math.inf and 0 <= hmin_seed < math.inf):
         raise ValueError("entropies must be finite and >= 0")
-    seed_penalty = float(hmin_seed - seed_len)
-    penalty = 2.0 * eps_hash.neg_log2
-    raw = hmin_input + seed_penalty - penalty + 2.0
-    terms = {"hmin_input": float(hmin_input), "seed_penalty": seed_penalty,
-             "hash_penalty_bits": penalty, "constant_2": 2.0,
-             "seed_gap_lambda": float(seed_len - hmin_seed)}
-    return _finish(raw, eps_input + eps_seed + eps_hash, kind, terms)
+    return _bound(float(hmin_input), float(hmin_seed - seed_len), eps_hash,
+                  eps_input + eps_seed + eps_hash, kind,
+                  {"seed_gap_lambda": float(seed_len - hmin_seed)})
 
 
 def combine_case_bound(case: ThreatCase, len1: int, len2: int,
@@ -173,7 +196,8 @@ def combine_case_bound(case: ThreatCase, len1: int, len2: int,
     """Secret-key mixing bound under one of five disclosure scenarios.
 
     Both keys are split by the balanced alpha fraction into seed and
-    input halves; the scenarios differ in what the adversary learns.
+    input halves; the scenarios differ in what the adversary learns,
+    which sets the entropy term. The seed term is 0 in every case.
 
     Args:
         case: disclosure scenario.
@@ -192,48 +216,37 @@ def combine_case_bound(case: ThreatCase, len1: int, len2: int,
         raise ValueError("key lengths must be >= 1")
     if not (0 <= lambda1 < math.inf and 0 <= lambda2 < math.inf):
         raise ValueError("lambdas must be finite and >= 0")
-    total = len1 + len2
-    penalty = 2.0 * eps_hash.neg_log2
     out_eps = eps1 + eps1 + eps2 + eps2 + eps_hash
-    no_reveal_raw = (total + 1) / 2.0 - penalty + 2.0
-    terms: dict = {"hash_penalty_bits": penalty, "constant_2": 2.0,
-                   "case": case.value}
-    force = False
+    extra = {"case": case.value}
+    # with nothing revealed the input half carries its full entropy
+    input_half = (len1 + len2 + 1) / 2.0
     if case is ThreatCase.NO_REVEAL:
-        entropy_term = (total + 1) / 2.0
-        raw = no_reveal_raw
-        terms["seed_penalty"] = 0.0
-    elif case is ThreatCase.CONTROLLED_KEY:
+        return _bound(input_half, 0.0, eps_hash, out_eps, kind, extra)
+    if case is ThreatCase.CONTROLLED_KEY:
         # adversary steers one key during generation; either key might
         # be the steered one, so both one-sided bounds must hold
-        bound_x1 = (len2 - len1 + 1) / 2.0 - penalty + 2.0
-        bound_x2 = (len1 - len2 + 1) / 2.0 - penalty + 2.0
-        entropy_term = min(len2 - len1 + 1, len1 - len2 + 1) / 2.0
-        raw = min(bound_x1, bound_x2)
-        terms["controlled_x1_bound"] = bound_x1
-        terms["controlled_x2_bound"] = bound_x2
-        terms["seed_penalty"] = entropy_term - (total + 1) / 2.0
-        force = eps_hash.neg_log2 > CONTROLLED_KEY_NEG_LOG2_LIMIT
-    elif case is ThreatCase.REVEALED_KEY:
+        x1 = (len2 - len1 + 1) / 2.0
+        x2 = (len1 - len2 + 1) / 2.0
+        return _bound(min(x1, x2), 0.0, eps_hash, out_eps, kind, extra,
+                      sides={"controlled_x1_bound": x1,
+                             "controlled_x2_bound": x2},
+                      force_infeasible=(eps_hash.neg_log2
+                                        > CONTROLLED_KEY_NEG_LOG2_LIMIT))
+    if case is ThreatCase.REVEALED_KEY:
         # one key published after extraction; the seed may be revealed
         # freely, only the surviving key's input half carries entropy
-        entropy_term = 0.5 * min(len2 + len2 / total, len1 + len1 / total)
-        raw = entropy_term - penalty + 2.0
-        terms["seed_penalty"] = entropy_term - (total + 1) / 2.0
-    else:
-        # output revealed (possibly with one key): each key must keep
-        # lambda_i bits of conditional entropy, and the output cannot
-        # exceed what the extraction produced in the first place
-        residual1 = len1 - float(lambda1)
-        residual2 = len2 - float(lambda2)
-        raw = min(no_reveal_raw, residual1, residual2)
-        entropy_term = raw + penalty - 2.0
-        terms["x1_residual"] = residual1
-        terms["x2_residual"] = residual2
-        terms["extraction_bound"] = no_reveal_raw
-        terms["seed_penalty"] = 0.0
-    terms["hmin_input"] = entropy_term
-    return _finish(raw, out_eps, kind, terms, force_infeasible=force)
+        total = len1 + len2
+        return _bound(0.5 * min(len2 + len2 / total, len1 + len1 / total),
+                      0.0, eps_hash, out_eps, kind, extra)
+    # output revealed (possibly with one key): each key must keep
+    # lambda_i bits of conditional entropy, and the output cannot exceed
+    # what the extraction produced in the first place
+    residual1 = len1 - float(lambda1)
+    residual2 = len2 - float(lambda2)
+    extra["x1_residual"] = residual1
+    extra["x2_residual"] = residual2
+    return _bound(input_half, 0.0, eps_hash, out_eps, kind, extra,
+                  cap=min(residual1, residual2))
 
 
 def public_seed_bound_many(lengths: "list[float] | tuple[float, ...]",
@@ -245,25 +258,27 @@ def public_seed_bound_many(lengths: "list[float] | tuple[float, ...]",
     """Public-seed mixing bound for any number of concatenated keys.
 
     `lengths` are the keys' min-entropies in bits, which for full-entropy
-    keys are their lengths. With no reveals they add. If reveals are
-    allowed the bound must survive every subset of reveals that leaves
-    one key secret, so only the smallest counts.
+    keys are their lengths, and `epsilons` their closeness parameters,
+    one per key. With no reveals they add. If reveals are allowed the
+    bound must survive every subset of reveals that leaves one key
+    secret, so only the smallest counts.
     """
     if len(lengths) < 1:
         raise ValueError("need at least one key")
-    if any(ln < 0 for ln in lengths):
-        raise ValueError("key entropies must be >= 0")
-    penalty = 2.0 * eps_hash.neg_log2
-    entropy_term = float(min(lengths) if reveal_allowed else sum(lengths))
-    raw = entropy_term - penalty + 2.0
+    if len(epsilons) != len(lengths):
+        raise ValueError(f"need one epsilon per key: {len(lengths)} keys, "
+                         f"{len(epsilons)} epsilons")
+    total = sum(lengths)
+    # a NaN or infinite entropy makes the sum NaN or infinite
+    if not (min(lengths) >= 0 and total < math.inf):
+        raise ValueError("key entropies must be finite and >= 0")
     out_eps = eps_seed + eps_hash
     for eps in epsilons:
         out_eps = out_eps + eps
-    terms = {"hmin_input": entropy_term, "seed_penalty": 0.0,
-             "hash_penalty_bits": penalty, "constant_2": 2.0,
-             "reveal_allowed": 1.0 if reveal_allowed else 0.0,
-             "key_count": float(len(lengths))}
-    return _finish(raw, out_eps, kind, terms)
+    return _bound(float(min(lengths) if reveal_allowed else total),
+                  0.0, eps_hash, out_eps, kind,
+                  {"reveal_allowed": 1.0 if reveal_allowed else 0.0,
+                   "key_count": float(len(lengths))})
 
 
 def public_seed_bound(len1: int, len2: int, eps1: SecurityLevel,
@@ -286,7 +301,8 @@ def public_seed_bound(len1: int, len2: int, eps1: SecurityLevel,
 def required_hmin(target_len: int, eps_hash: SecurityLevel) -> float:
     """Entropy each source must bring to extract target_len bits.
 
-    Inverts the basic bound: hmin >= target_len + 2*log2(1/eps_hash) - 2.
+    Inverts the bound: hmin >= target_len + 2*log2(1/eps_hash) - 2, the
+    entropy plus seed term a source pair must reach.
     """
     return target_len + 2.0 * eps_hash.neg_log2 - 2.0
 

@@ -415,27 +415,37 @@ def _selftest_fast_path() -> str:
 
 
 def _selftest_fixtures() -> str:
-    fixtures = [
-        (qlhl_basic(100, SecurityLevel.zero(), SecurityLevel(32.0))
-         .max_output_len, 38),
-        (qlhl_general(80, SecurityLevel.zero(), 50, SecurityLevel.zero(),
-                      63, SecurityLevel(20.0)).max_output_len, 29),
-        (public_seed_bound(128, 256, SecurityLevel.zero(),
-                           SecurityLevel.zero(), SecurityLevel.zero(),
-                           SecurityLevel(32.0), True).max_output_len, 66),
-        (combine_case_bound(ThreatCase.NO_REVEAL, 256, 256,
-                            SecurityLevel.zero(), SecurityLevel.zero(),
-                            SecurityLevel(32.0)).max_output_len, 194),
-        (combine_case_bound(ThreatCase.REVEALED_KEY, 256, 256,
-                            SecurityLevel.zero(), SecurityLevel.zero(),
-                            SecurityLevel(32.0)).max_output_len, 66),
-        (budget(256, SecurityLevel(64.0)).qkd_budget, 2808),
-        (budget(128, SecurityLevel(32.0)).qkd_budget, 1400),
+    reports = [
+        ("basic", qlhl_basic(100, SecurityLevel.zero(), SecurityLevel(32.0)),
+         38),
+        ("general", qlhl_general(80, SecurityLevel.zero(), 50,
+                                 SecurityLevel.zero(), 63,
+                                 SecurityLevel(20.0)), 29),
+        ("public-seed", public_seed_bound(
+            128, 256, SecurityLevel.zero(), SecurityLevel.zero(),
+            SecurityLevel.zero(), SecurityLevel(32.0), True), 66),
+        ("NoReveal", combine_case_bound(
+            ThreatCase.NO_REVEAL, 256, 256, SecurityLevel.zero(),
+            SecurityLevel.zero(), SecurityLevel(32.0)), 194),
+        ("RevealedKey", combine_case_bound(
+            ThreatCase.REVEALED_KEY, 256, 256, SecurityLevel.zero(),
+            SecurityLevel.zero(), SecurityLevel(32.0)), 66),
     ]
+    for name, report, _ in reports:
+        terms = report.terms
+        added = (terms["hmin_input"] + terms["seed_penalty"]
+                 - terms["hash_penalty_bits"] + terms["constant_2"])
+        if abs(added - terms["raw_value"]) > 1e-9:
+            raise AssertionError(f"terms of the {name} fixture add up to "
+                                 f"{added}, not {terms['raw_value']}")
+    fixtures = [(report.max_output_len, want) for _, report, want in reports]
+    fixtures += [(budget(256, SecurityLevel(64.0)).qkd_budget, 2808),
+                 (budget(128, SecurityLevel(32.0)).qkd_budget, 1400)]
     for got, want in fixtures:
         if got != want:
             raise AssertionError(f"fixture mismatch: got {got}, want {want}")
-    return f"fixtures: {len(fixtures)} formula values exact"
+    return (f"fixtures: {len(fixtures)} formula values exact, "
+            f"{len(reports)} term breakdowns add up")
 
 
 def _selftest_mac() -> str:

@@ -159,14 +159,19 @@ def _output_kind(spec1: SourceSpec, spec2: SourceSpec, threat: ThreatCase,
     return spec1.kind.combine(spec2.kind)
 
 
+def _bound_name(report: BoundReport) -> str:
+    # private-seed reports carry their threat case; public-seed ones none
+    case = report.terms.get("case")
+    return f"case {case}" if case else "the public-seed bound"
+
+
 def _settle_length(report: BoundReport, requested: Optional[int],
                    input_len: int, extra_caps: Sequence[float] = ()
                    ) -> int:
     if not report.feasible:
         raise Infeasible(max(0.0, -report.terms["raw_value"]),
-                         f"combination infeasible: case "
-                         f"{report.terms.get('case', '?')} allows "
-                         f"{report.max_output_len} bits")
+                         f"combination infeasible: {_bound_name(report)} "
+                         f"allows {report.max_output_len} bits")
     length = report.max_output_len
     for cap in extra_caps:
         length = min(length, int(cap))
@@ -174,11 +179,12 @@ def _settle_length(report: BoundReport, requested: Optional[int],
     if requested is not None:
         if requested > length:
             raise Infeasible(requested - length,
-                             f"requested {requested} bits but the case "
-                             f"bound allows only {length}")
+                             f"requested {requested} bits but "
+                             f"{_bound_name(report)} allows only {length}")
         length = requested
     if length < 1:
-        raise Infeasible(1.0 - length, "no extractable bits under this case")
+        raise Infeasible(1.0 - length, "no extractable bits under "
+                         f"{_bound_name(report)}")
     return length
 
 

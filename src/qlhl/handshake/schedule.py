@@ -2,15 +2,17 @@
 
 The handshake derives nine keys through a chain of four seeded
 extractions. Each stage consumes one information-theoretically secure
-input key and emits its outputs plus the next chain key, paying the
-hash penalty 2*floor(log2(1/eps')) - 2 bits per stage. Back-substituting
-the four stage budgets gives the chain lengths and the total QKD bits
-required up front:
+input key and emits its outputs plus the next chain key. Each stage
+meets eps = 2^-floor(log2(1/eps')) (`_stage_eps`) and pays the hash
+penalty P = `bounds.required_hmin(0, eps)` = 2*floor(log2(1/eps')) - 2
+bits: its secure input must carry `required_hmin(outputs, eps)` bits.
+Back-substituting the four stage budgets gives the chain lengths and the
+total QKD bits required up front:
 
     k3     = |IATS| + |RATS| + |SecState'| + P
     k2     = k3 + |fk_I| + |fk_R| + P
     k1     = k2 + |IAHTS| + |RAHTS| + P
-    k_qkd  = k1 + |IHTS| + |RHTS| + P        with P = 2*floor(L) - 2
+    k_qkd  = k1 + |IHTS| + |RHTS| + P
 
 With all nine outputs n bits long this collapses to
 k_qkd = 9n - 8 + 8*floor(log2(1/eps')).
@@ -29,6 +31,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from ..bits import BitString, concat_all
+from ..bounds import required_hmin
 from ..ledger import SecurityLevel
 from ..toeplitz import ExtractorParams, SeededHash, extract_fast
 
@@ -48,11 +51,13 @@ class BudgetExceeded(ValueError):
     """Stage outputs ask for more bits than its secure input key covers."""
 
 
-def _floor_neg_log2(eps_prime: SecurityLevel) -> int:
+def _stage_eps(eps_prime: SecurityLevel) -> SecurityLevel:
+    """The eps one stage meets, 2^-floor(log2(1/eps')): the level its
+    hash penalty pays for, which a fractional eps' would overstate."""
     if not math.isfinite(eps_prime.neg_log2):
         raise ValueError("budgeting needs a nonzero extraction failure "
                          "probability")
-    return math.floor(eps_prime.neg_log2)
+    return SecurityLevel(float(math.floor(eps_prime.neg_log2)))
 
 
 @dataclass(frozen=True)
@@ -81,13 +86,12 @@ class ScheduleParams:
     @property
     def hash_penalty(self) -> int:
         """Bits lost to one extraction stage."""
-        return 2 * _floor_neg_log2(self.eps_prime) - 2
+        return int(required_hmin(0, self.stage_eps))
 
     @property
     def stage_eps(self) -> SecurityLevel:
-        """The eps one stage meets, 2^-floor(log2(1/eps')): the level its
-        hash penalty pays for, which a fractional eps' would overstate."""
-        return SecurityLevel(float(_floor_neg_log2(self.eps_prime)))
+        """The eps one stage meets (see `_stage_eps`)."""
+        return _stage_eps(self.eps_prime)
 
     def stage_out_lens(self, stage: int) -> tuple:
         """Output lengths for one stage, in emission order."""
@@ -121,14 +125,14 @@ def budget(n: int, eps_prime: SecurityLevel,
             raise ValueError("expected exactly 9 per-key lengths")
         if any(v < 1 for v in lengths):
             raise ValueError("every per-key length must be >= 1")
-    penalty = 2 * _floor_neg_log2(eps_prime) - 2
+    eps = _stage_eps(eps_prime)
     lens = dict(zip(KEY_NAMES, lengths))
-    # a stage's secure input covers its outputs plus the penalty: the
-    # previous stage's chain key, or for stage 1 the QKD block
+    # a stage's secure input carries the entropy its outputs require:
+    # the previous stage's chain key, or for stage 1 the QKD block
     for stage in (4, 3, 2, 1):
         secure = STAGE_OUTPUTS[stage - 1][0] if stage > 1 else "qkd"
-        lens[secure] = sum(lens[name] for name in STAGE_OUTPUTS[stage]) \
-            + penalty
+        lens[secure] = int(required_hmin(
+            sum(lens[name] for name in STAGE_OUTPUTS[stage]), eps))
     common = lengths[0] if len(set(lengths)) == 1 else 0
     return ScheduleParams(n=common, eps_prime=eps_prime,
                           per_key_lengths=lengths, k1=lens["k1"],
@@ -175,7 +179,8 @@ def schedule_stage(stage: int, key_material: Sequence[BitString],
         raise ValueError(f"stage {stage} seed must be "
                          f"{len(input_bits) - 1} bits, got {len(seed)}")
     total = sum(out_lens)
-    allowed = len(keys[secure]) - 2 * _floor_neg_log2(eps_prime) + 2
+    penalty = int(required_hmin(0, _stage_eps(eps_prime)))
+    allowed = len(keys[secure]) - penalty
     if total > allowed:
         raise BudgetExceeded(f"stage {stage} outputs need {total} bits but "
                              f"the secure input covers {allowed}")

@@ -10,6 +10,7 @@ from qlhl.bootstrap import (BootstrapPlan, Infeasible,
                             WeakSourceSim, plan_bootstrap, plan_from_kv_dict,
                             plan_to_kv_dict, run_bootstrap,
                             sample_weak_source)
+from qlhl.bounds import qlhl_general
 from qlhl.ledger import SecurityLevel, SourceSpec
 from qlhl.oracles import exact_extraction_distance
 
@@ -36,6 +37,32 @@ def test_plan_reports_entropy_shortfall():
         plan_bootstrap(_spec("x1", 1024, 600), _spec("x2", 1023, 600),
                        out_len=128, eps_hash=E64)
     assert exc.value.shortfall_bits == pytest.approx(77.0)
+
+
+def test_plan_boundary_is_the_general_bound():
+    # the largest accepted output is qlhl_general's, evaluated with X2
+    # before truncation; one bit more is refused by exactly the gap
+    checked = 0
+    for len1, len2 in ((16, 15), (64, 63), (64, 100), (256, 511)):
+        q = len2 - len1 + 1
+        for hmin1 in (5, min(40.5, len1), len1 * 0.75, len1):
+            for hmin2 in (0, q / 2, q + 10.25, len2 * 0.9, len2):
+                for lg in (0.5, 1.25, 3.0, 7.5):
+                    x1, x2 = _spec("x1", len1, hmin1), _spec("x2", len2, hmin2)
+                    eps = SecurityLevel(lg)
+                    report = qlhl_general(x1.hmin, SecurityLevel.zero(),
+                                          x2.hmin, SecurityLevel.zero(),
+                                          x2.length, eps)
+                    out_len = report.max_output_len
+                    if not 1 <= out_len < len1:
+                        continue
+                    assert plan_bootstrap(x1, x2, out_len, eps).q == q
+                    with pytest.raises(Infeasible) as exc:
+                        plan_bootstrap(x1, x2, out_len + 1, eps)
+                    assert exc.value.shortfall_bits == pytest.approx(
+                        out_len + 1 - report.terms["raw_value"], abs=1e-9)
+                    checked += 1
+    assert checked > 60
 
 
 def test_plan_trims_long_seed_source():

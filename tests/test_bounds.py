@@ -135,6 +135,79 @@ def test_public_seed_fixtures():
     assert many.max_output_len == 64 - 32 + 2
 
 
+def test_public_seed_bound_many_rejects_bad_input():
+    # an infinite entropy gave -1 bits at raw_value inf, a NaN one died
+    # in math.floor, and a short epsilon list dropped a key's epsilon
+    for bad in ([math.inf, 5], [math.nan, 5], [-1, 5]):
+        with pytest.raises(ValueError):
+            public_seed_bound_many(bad, [Z, Z], Z, E32, False)
+    with pytest.raises(ValueError):
+        public_seed_bound_many([], [], Z, E32, False)
+    for eps in ([SecurityLevel(10.0)], [Z, Z, Z]):
+        with pytest.raises(ValueError, match="one epsilon per key"):
+            public_seed_bound_many([100, 100], eps, Z, E32, False)
+    two = public_seed_bound_many([100, 100], [SecurityLevel(10.0)] * 2, Z,
+                                 Z, False)
+    assert two.out_eps.neg_log2 == pytest.approx(9.0)
+
+
+def _all_bound_reports():
+    lengths = (1, 2.5, 17, 256, 300.75)
+    lambdas = (0, 0.5, 3.25, 40)
+    levels = (Z, SecurityLevel(0.5), SecurityLevel(1.25), E16,
+              SecurityLevel(33.7))
+    for eps in levels:
+        for h in lengths:
+            yield qlhl_basic(h, Z, eps)
+            for lam in lambdas:
+                for seed_len in (3, 64, 257):
+                    hmin_seed = max(0.0, seed_len - lam)
+                    yield qlhl_weak_seed_penalized(h, Z, seed_len, hmin_seed,
+                                                   eps)
+                    yield qlhl_general(h, E16, hmin_seed, Z, seed_len, eps)
+            for h2 in lengths:
+                for reveal in (False, True):
+                    yield public_seed_bound_many([h, h2], [Z, E16], Z, eps,
+                                                 reveal)
+                    yield public_seed_bound_many([h, h2, 7.5], [Z] * 3, E16,
+                                                 eps, reveal)
+        for len1 in (1, 2, 17, 256):
+            for len2 in (1, 16, 256, 301):
+                for case in ThreatCase:
+                    for lam in lambdas:
+                        yield combine_case_bound(case, len1, len2, Z, E16,
+                                                 eps, lam, lambdas[-1] - lam)
+
+
+def test_every_bound_report_adds_up_to_raw_value():
+    seen = set()
+    checked = 0
+    for report in _all_bound_reports():
+        t = report.terms
+        if not math.isfinite(t["raw_value"]):
+            continue
+        added = (t["hmin_input"] + t["seed_penalty"]
+                 - t["hash_penalty_bits"] + t["constant_2"])
+        assert added == pytest.approx(t["raw_value"], abs=1e-9), t
+        seen.add(t.get("case"))
+        checked += 1
+    assert seen == {None} | {case.value for case in ThreatCase}
+    assert checked > 2000
+
+
+def test_case_bounds_carry_a_zero_seed_term():
+    args = (256, 256, Z, Z, E32)
+    controlled = combine_case_bound(ThreatCase.CONTROLLED_KEY, *args)
+    assert controlled.terms["hmin_input"] == 0.5
+    assert controlled.terms["raw_value"] == -61.5
+    assert controlled.terms["controlled_x1_bound"] == -61.5
+    revealed = combine_case_bound(ThreatCase.REVEALED_KEY, *args)
+    assert revealed.terms["hmin_input"] == 128.25
+    assert revealed.terms["raw_value"] == 66.25
+    for case in ThreatCase:
+        assert combine_case_bound(case, *args).terms["seed_penalty"] == 0.0
+
+
 def test_required_hmin_inverts_basic_bound():
     for target in (1, 38, 194, 511):
         hmin = required_hmin(target, E32)

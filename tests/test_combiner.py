@@ -237,6 +237,22 @@ def test_private_combine_refuses_partial_entropy_keys():
     assert exc.value.shortfall_bits == 26.5
 
 
+def test_refusals_name_the_bound_that_refused():
+    # public-seed reports carry no threat case: two 8-bit keys of 2 bits
+    # each at 2^-32 give 4 - 64 + 2, refused by the public-seed bound
+    rng = np.random.default_rng(45)
+    weak = [SourceSpec(f"k{i}", 8, 2.0, SecurityLevel.zero()) for i in (1, 2)]
+    with pytest.raises(Infeasible) as exc:
+        combine_public(_public_request(rng, *weak))
+    assert str(exc.value) == ("combination infeasible: the public-seed "
+                              "bound allows -1 bits")
+    assert exc.value.shortfall_bits == 58.0
+    with pytest.raises(Infeasible) as exc:
+        combine_private(_private_request(rng, requested_len=70))
+    assert str(exc.value) == ("requested 70 bits but case NoReveal allows "
+                              "only 66")
+
+
 def test_public_combine_many_refuses_low_entropy_keys():
     # two 10-bit keys of 1 bit each at 2^-2: 2 - 4 + 2 = 0 bits, where
     # their lengths would give 18

@@ -1,12 +1,14 @@
 """Tests for the budgeted four-stage handshake simulation."""
 
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from qlhl.bits import BitString, concat_all
+from qlhl.bounds import required_hmin
 from qlhl.handshake import (AbortReason, BudgetExceeded, InMemoryChannel,
                             MockQkdStore, OneTimePad, PadExhaustedError,
                             ScheduleParams, TamperSpec, UnknownQkdIdError,
@@ -60,6 +62,23 @@ def test_budget_mixed_lengths():
     assert params.n == 0          # no common length
     assert params.stage_out_lens(1) == (k1, 16, 16)
     assert params.stage_out_lens(4) == (32, 32, 64)
+
+
+def test_budget_back_substitutes_through_required_hmin():
+    # each stage's secure input carries required_hmin of its outputs at
+    # the floored stage eps
+    for n in (32, 64, 256):
+        for lg in (8.0, 16.5, 33.9, 64.25):
+            eps = SecurityLevel(float(math.floor(lg)))
+            params = budget(n, SecurityLevel(lg))
+            k3 = required_hmin(3 * n, eps)
+            k2 = required_hmin(k3 + 2 * n, eps)
+            k1 = required_hmin(k2 + 2 * n, eps)
+            qkd = required_hmin(k1 + 2 * n, eps)
+            assert (params.k3, params.k2, params.k1, params.qkd_budget) == \
+                (k3, k2, k1, qkd)
+            assert params.hash_penalty == required_hmin(0, eps)
+            assert params.stage_eps == eps
 
 
 def test_budget_validation():
