@@ -59,12 +59,7 @@ class BitString:
         """
         if length < 0:
             raise ValueError("length must be >= 0")
-        if value < 0 or value >> length:
-            raise ValueError(f"value {value} does not fit in {length} bits")
-        self = cls.__new__(cls)
-        object.__setattr__(self, "_value", value)
-        object.__setattr__(self, "_length", length)
-        return self
+        return _bitstring(value, length)
 
     @classmethod
     def from_str(cls, s: str) -> "BitString":
@@ -109,10 +104,10 @@ class BitString:
             if step != 1:
                 raise ValueError("only unit-step slices are supported")
             if stop <= start:
-                return BitString()
+                return _bitstring(0, 0)
             width = stop - start
-            value = (self._value >> (n - stop)) & ((1 << width) - 1)
-            return BitString.from_int(value, width)
+            return _bitstring((self._value >> (n - stop)) & ((1 << width) - 1),
+                              width)
         if idx < 0:
             idx += n
         if not 0 <= idx < n:
@@ -190,19 +185,34 @@ class BitString:
 
 # -- free-function operations -----------------------------------------------
 
+def _bitstring(value: int, length: int) -> BitString:
+    """A BitString of `length` >= 0 bits holding `value`, range-checked.
+
+    The one constructor behind `from_int` and every derived string (slices,
+    concatenations, xor, extraction outputs), which pass their operands'
+    `_value` and `_length` directly.
+    """
+    if value < 0 or value >> length:
+        raise ValueError(f"value {value} does not fit in {length} bits")
+    self = object.__new__(BitString)
+    self._value = value
+    self._length = length
+    return self
+
 
 def concat(a: BitString, b: BitString) -> BitString:
     """Concatenate: `a` occupies the leading positions of the result."""
-    return BitString.from_int((a.to_int() << len(b)) | b.to_int(), len(a) + len(b))
+    return _bitstring((a._value << b._length) | b._value,
+                      a._length + b._length)
 
 
 def concat_all(parts: Iterable[BitString]) -> BitString:
     value = 0
     length = 0
     for p in parts:
-        value = (value << len(p)) | p.to_int()
-        length += len(p)
-    return BitString.from_int(value, length)
+        value = (value << p._length) | p._value
+        length += p._length
+    return _bitstring(value, length)
 
 
 def split(x: BitString, at: int) -> Tuple[BitString, BitString]:
@@ -214,16 +224,17 @@ def split(x: BitString, at: int) -> Tuple[BitString, BitString]:
 
 def xor(a: BitString, b: BitString) -> BitString:
     """Bitwise exclusive-or of equal-length strings."""
-    if len(a) != len(b):
-        raise ValueError(f"xor length mismatch: {len(a)} != {len(b)}")
-    return BitString.from_int(a.to_int() ^ b.to_int(), len(a))
+    if a._length != b._length:
+        raise ValueError(f"xor length mismatch: {a._length} != {b._length}")
+    return _bitstring(a._value ^ b._value, a._length)
 
 
 def truncate(x: BitString, q: int) -> BitString:
     """Drop the trailing q bits, keeping the leading |x| - q."""
-    if not 0 <= q <= len(x):
-        raise ValueError(f"cannot truncate {q} bits from length {len(x)}")
-    return x[: len(x) - q]
+    n = x._length
+    if not 0 <= q <= n:
+        raise ValueError(f"cannot truncate {q} bits from length {n}")
+    return _bitstring(x._value >> q, n - q)
 
 
 # -- binary file format -------------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 
 from .bits import BitString, truncate
 from .bounds import required_hmin
-from .ledger import EntropyKind, SecurityLevel, SourceSpec, truncate_source
+from .ledger import (EntropyKind, SecurityLevel, SourceSpec, eps_sum,
+                     truncate_source)
 from .toeplitz import ExtractorParams, SeededHash, extract_fast
 
 
@@ -249,10 +250,10 @@ def run_bootstrap(plan: BootstrapPlan, x1_bits: BitString,
                          f"got {len(x2_bits)}")
     seed = truncate(x2_bits, plan.q)
     output = extract_fast(SeededHash(plan.params, seed), x1_bits)
-    out_eps = plan.x1_spec.eps + plan.x2_spec.eps + plan.eps_hash
     out_spec = SourceSpec(
         label=f"boot({plan.x1_spec.label},{plan.x2_spec.label})",
-        length=plan.out_len, hmin=plan.out_len, eps=out_eps,
+        length=plan.out_len, hmin=plan.out_len,
+        eps=eps_sum((plan.x1_spec.eps, plan.x2_spec.eps, plan.eps_hash)),
         kind=plan.x1_spec.kind.combine(plan.x2_spec.kind))
     return output, out_spec
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .ledger import EntropyKind, SecurityLevel
+from .ledger import EntropyKind, SecurityLevel, eps_sum
 
 Number = Union[int, float]
 
@@ -137,8 +137,8 @@ def qlhl_basic(hmin_input: Number, eps_smooth: SecurityLevel,
     """
     if not 0 <= hmin_input < math.inf:
         raise ValueError("hmin_input must be finite and >= 0")
-    return _bound(float(hmin_input), 0.0, eps_hash, eps_smooth + eps_hash,
-                  kind, {})
+    return _bound(float(hmin_input), 0.0, eps_hash,
+                  eps_sum((eps_smooth, eps_hash)), kind, {})
 
 
 def qlhl_weak_seed_penalized(hmin_input: Number, eps_smooth: SecurityLevel,
@@ -162,7 +162,7 @@ def qlhl_weak_seed_penalized(hmin_input: Number, eps_smooth: SecurityLevel,
     if not (0 <= hmin_input < math.inf and 0 <= hmin_seed < math.inf):
         raise ValueError("entropies must be finite and >= 0")
     return _bound(float(hmin_input), 2.0 * (hmin_seed - seed_len),
-                  eps_target, eps_smooth + eps_target, kind,
+                  eps_target, eps_sum((eps_smooth, eps_target)), kind,
                   {"seed_gap_lambda": float(seed_len - hmin_seed)})
 
 
@@ -183,7 +183,7 @@ def qlhl_general(hmin_input: Number, eps_input: SecurityLevel,
     if not (0 <= hmin_input < math.inf and 0 <= hmin_seed < math.inf):
         raise ValueError("entropies must be finite and >= 0")
     return _bound(float(hmin_input), float(hmin_seed - seed_len), eps_hash,
-                  eps_input + eps_seed + eps_hash, kind,
+                  eps_sum((eps_input, eps_seed, eps_hash)), kind,
                   {"seed_gap_lambda": float(seed_len - hmin_seed)})
 
 
@@ -216,7 +216,7 @@ def combine_case_bound(case: ThreatCase, len1: int, len2: int,
         raise ValueError("key lengths must be >= 1")
     if not (0 <= lambda1 < math.inf and 0 <= lambda2 < math.inf):
         raise ValueError("lambdas must be finite and >= 0")
-    out_eps = eps1 + eps1 + eps2 + eps2 + eps_hash
+    out_eps = eps_sum((eps1, eps1, eps2, eps2, eps_hash))
     extra = {"case": case.value}
     # with nothing revealed the input half carries its full entropy
     input_half = (len1 + len2 + 1) / 2.0
@@ -272,9 +272,7 @@ def public_seed_bound_many(lengths: "list[float] | tuple[float, ...]",
     # a NaN or infinite entropy makes the sum NaN or infinite
     if not (min(lengths) >= 0 and total < math.inf):
         raise ValueError("key entropies must be finite and >= 0")
-    out_eps = eps_seed + eps_hash
-    for eps in epsilons:
-        out_eps = out_eps + eps
+    out_eps = eps_sum((eps_seed, eps_hash, *epsilons))
     return _bound(float(min(lengths) if reveal_allowed else total),
                   0.0, eps_hash, out_eps, kind,
                   {"reveal_allowed": 1.0 if reveal_allowed else 0.0,

@@ -168,22 +168,26 @@ def _bound_name(report: BoundReport) -> str:
 def _settle_length(report: BoundReport, requested: Optional[int],
                    input_len: int, extra_caps: Sequence[float] = ()
                    ) -> int:
+    """The output length: the bound's, the input's and every cap's
+    limit, floored, or `requested` below that.
+
+    A refusal's shortfall is measured against the tightest limit before
+    the floor, so a cap of 0.5 bits falls 0.5 short of one bit.
+    """
     if not report.feasible:
         raise Infeasible(max(0.0, -report.terms["raw_value"]),
                          f"combination infeasible: {_bound_name(report)} "
                          f"allows {report.max_output_len} bits")
-    length = report.max_output_len
-    for cap in extra_caps:
-        length = min(length, int(cap))
-    length = min(length, input_len)
+    limit = min(report.max_output_len, input_len, *extra_caps)
+    length = math.floor(limit)
     if requested is not None:
         if requested > length:
-            raise Infeasible(requested - length,
+            raise Infeasible(requested - limit,
                              f"requested {requested} bits but "
                              f"{_bound_name(report)} allows only {length}")
-        length = requested
+        length = limit = requested
     if length < 1:
-        raise Infeasible(1.0 - length, "no extractable bits under "
+        raise Infeasible(1.0 - limit, "no extractable bits under "
                          f"{_bound_name(report)}")
     return length
 
@@ -240,7 +244,9 @@ def combine_private(req: CombineRequest) -> CombineResult:
         key2 = truncate(key2, 1)
         spec2 = truncate_source(spec2, 1)
     part = alpha_partition(spec1.length, spec2.length)
-    a1 = int(part.alpha * spec1.length)
+    # floor(alpha * |key1|) with alpha = (total - 1) / (2 * total)
+    total = spec1.length + spec2.length
+    a1 = (total - 1) * spec1.length // (2 * total)
     a2 = part.seed_len - a1
     seed = concat(key1[:a1], key2[:a2])
     input_bits = concat(key1[a1:], key2[a2:])

@@ -51,7 +51,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..bits import BitString
-from ..ledger import SecurityLevel
+from ..ledger import SecurityLevel, eps_sum
 from .mac import transcript_mac
 from .providers import (KemKeyPair, MockKem, MockQkdStore, UnknownQkdIdError,
                         prf_expand)
@@ -405,7 +405,8 @@ class _Party:
             stage, keys, BitString.from_bytes(LABELS[label]), traffic,
             seed, self.params.stage_out_lens(stage), self.cfg.eps_prime)
         self.seed_lens.append(len(seed))
-        self.eps = self.eps + self.cfg.eps_seed + self.params.stage_eps
+        self.eps = eps_sum((self.eps, self.cfg.eps_seed,
+                            self.params.stage_eps))
         self.intermediate.update(zip(STAGE_OUTPUTS[stage], outs))
         if stage == 4:
             self.finals = Finals(*outs, self.eps, len(self.k_qkd))

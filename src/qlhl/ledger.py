@@ -12,8 +12,15 @@ hmin (in bits, against the adversary's side information), a security level
 - revealing r bits costs at worst r bits of min-entropy (chain rule).
 
 Epsilons are tracked as -log2(eps) in double precision with exact +inf
-(eps = 0), because values like 2^-128 underflow linear doubles. Addition
-is a stable two-term log-sum-exp.
+(eps = 0), because values like 2^-128 underflow linear doubles. Every
+sum of epsilons is one `eps_sum` fold: it adds the terms left to right,
+each step the two-term log-sum-exp -log2(2^-x + 2^-y) = x - log2(1 +
+2^(x - y)) for x <= y, rounded to the nearest double and clamped at 0
+(eps = 1), and builds one `SecurityLevel` from the result. A zero term
+leaves the running sum as it is. Because each step rounds to nearest,
+the result can depend on the order of the terms and can fall a few ulps
+below the exact sum; exact, order-free arithmetic that rounds against
+the adversary is planned to replace this fold (ROADMAP item 8).
 
 Conditional independence is caller-asserted metadata, never inferred: the
 library cannot verify independence from descriptors, so combining without
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class IndependenceError(ValueError):
@@ -42,11 +49,14 @@ class EntropyKind(enum.Enum):
 
     @property
     def rank(self) -> int:
-        return {"min": 0, "smooth": 1, "hill": 2}[self.value]
+        return _KIND_RANK[self._value_]
 
     def combine(self, other: "EntropyKind") -> "EntropyKind":
         """Join on the kind lattice; the weaker guarantee wins, HILL absorbs."""
-        return self if self.rank >= other.rank else other
+        # keyed by value: a member's own hash is a Python-level call
+        if _KIND_RANK[self._value_] >= _KIND_RANK[other._value_]:
+            return self
+        return other
 
     @staticmethod
     def from_name(name: str) -> "EntropyKind":
@@ -56,19 +66,25 @@ class EntropyKind(enum.Enum):
         raise ValueError(f"unknown entropy kind {name!r}")
 
 
+_KIND_RANK = {"min": 0, "smooth": 1, "hill": 2}
+
+
 @dataclass(frozen=True, order=False)
 class SecurityLevel:
     """A closeness-to-uniform parameter eps, stored as -log2(eps).
 
     neg_log2 is an extended real in [0, +inf]; +inf means eps = 0 exactly.
-    Larger neg_log2 means more secure.
+    Larger neg_log2 means more secure. -0.0 is stored as 0.0.
     """
 
     neg_log2: float
 
     def __post_init__(self):
-        if math.isnan(self.neg_log2) or self.neg_log2 < 0:
+        # "not >= 0" also refuses NaN
+        if not self.neg_log2 >= 0:
             raise ValueError(f"neg_log2 must be in [0, +inf], got {self.neg_log2}")
+        if self.neg_log2 == 0:
+            object.__setattr__(self, "neg_log2", abs(self.neg_log2))
 
     @classmethod
     def exp2(cls, n: float) -> "SecurityLevel":
@@ -96,7 +112,7 @@ class SecurityLevel:
         return math.isinf(self.neg_log2)
 
     def __add__(self, other: "SecurityLevel") -> "SecurityLevel":
-        return eps_add(self, other)
+        return eps_sum((self, other))
 
     def __le__(self, other: "SecurityLevel") -> bool:
         # "<=" compares the eps values: smaller eps is smaller.
@@ -112,28 +128,36 @@ class SecurityLevel:
 
 
 def eps_add(a: SecurityLevel, b: SecurityLevel) -> SecurityLevel:
-    """eps_a + eps_b, exactly in the log domain.
-
-    With x = -log2(eps_a) <= y = -log2(eps_b) (a is the larger eps):
-    -log2(2^-x + 2^-y) = x - log2(1 + 2^(x - y)), which is stable for any
-    spread of magnitudes. The sum of two sub-unit epsilons may exceed 1;
-    the result clamps at neg_log2 = 0 since closeness beyond 1 carries no
-    meaning.
-    """
-    x, y = a.neg_log2, b.neg_log2
-    if x > y:
-        x, y = y, x
-    if math.isinf(x):
-        return SecurityLevel(math.inf)
-    out = x - math.log2(1.0 + 2.0 ** (x - y))
-    return SecurityLevel(max(0.0, out))
+    """eps_a + eps_b; `eps_sum` of the two."""
+    return eps_sum((a, b))
 
 
 def eps_sum(levels) -> SecurityLevel:
-    total = SecurityLevel.zero()
-    for lv in levels:
-        total = eps_add(total, lv)
-    return total
+    """The sum of the levels' epsilons, folded left to right.
+
+    Each step adds one term to the running sum in the log domain: with
+    x = -log2(eps_a) <= y = -log2(eps_b) (a is the larger eps),
+    -log2(2^-x + 2^-y) = x - log2(1 + 2^(x - y)), which is stable for any
+    spread of magnitudes. A sum of sub-unit epsilons may exceed 1; each
+    step clamps at neg_log2 = 0, since closeness beyond 1 carries no
+    meaning. Adding a zero term (y = +inf) returns the other operand, as
+    the formula does. Only the result is built as a `SecurityLevel`; an
+    empty sum is zero.
+    """
+    inf, log2 = math.inf, math.log2
+    total = inf
+    for level in levels:
+        x, y = total, level.neg_log2
+        if x > y:
+            x, y = y, x
+        if y == inf:
+            # x - log2(1 + 0) is x, which is >= 0
+            total = float(x)
+        else:
+            total = x - log2(1.0 + 2.0 ** (x - y))
+            if not total > 0.0:     # max(0.0, total)
+                total = 0.0
+    return SecurityLevel(total)
 
 
 @dataclass(frozen=True)
@@ -186,8 +210,8 @@ def concat_sources(a: SourceSpec, b: SourceSpec, *,
         label=f"{a.label}||{b.label}",
         length=a.length + b.length,
         hmin=a.hmin + b.hmin,
-        eps=eps_add(a.eps, b.eps),
-        kind=EntropyKind.combine(a.kind, b.kind),
+        eps=eps_sum((a.eps, b.eps)),
+        kind=a.kind.combine(b.kind),
     )
 
 
@@ -216,14 +240,16 @@ def truncate_source(x: SourceSpec, q: int) -> SourceSpec:
     """Worst-case ledger for dropping q trailing bits: hmin falls by q."""
     if not 0 <= q <= x.length:
         raise ValueError(f"cannot truncate {q} bits from length {x.length}")
-    return replace(x, length=x.length - q, hmin=max(0.0, x.hmin - q))
+    return SourceSpec(x.label, x.length - q, max(0.0, x.hmin - q), x.eps,
+                      x.kind)
 
 
 def leak(x: SourceSpec, bits_revealed: float) -> SourceSpec:
     """Chain rule: revealing r bits costs at most r bits of min-entropy."""
     if not bits_revealed >= 0:
         raise ValueError("bits_revealed must be >= 0")
-    return replace(x, hmin=max(0.0, x.hmin - bits_revealed))
+    return SourceSpec(x.label, x.length, max(0.0, x.hmin - bits_revealed),
+                      x.eps, x.kind)
 
 
 # -- flat key-value text format ---------------------------------------------

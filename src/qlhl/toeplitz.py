@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bits import BitString
+from .bits import BitString, _bitstring
 
 
 class Family(enum.Enum):
@@ -191,10 +191,11 @@ def extract_fast(h: SeededHash, x: BitString) -> BitString:
     in numpy), the FFT form with the error bound that makes it exact,
     and the cost model that picks one.
     """
-    n = h.params.input_len
-    m = h.params.output_len
-    if len(x) != n:
-        raise ValueError(f"input must be {n} bits, got {len(x)}")
-    out = _kernels.matvec_bits(h.params.family is Family.MODIFIED,
-                               h.seed.to_int(), n, m, x.to_int())
-    return BitString.from_int(out, m)
+    params = h.params
+    n = params.input_len
+    m = params.output_len
+    if x._length != n:
+        raise ValueError(f"input must be {n} bits, got {x._length}")
+    out = _kernels.matvec_bits(params.family is Family.MODIFIED,
+                               h.seed._value, n, m, x._value)
+    return _bitstring(out, m)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qlhl.bits import (BitString, concat, concat_all, dump_qbits, load_qbits,
                        read_qbits, split, truncate, write_qbits, xor)
@@ -125,3 +125,43 @@ def test_prop_xor_self_is_zero(bits):
     x = BitString(bits)
     assert (x ^ x) == BitString.zeros(len(x))
     assert (x ^ BitString.zeros(len(x))) == x
+
+
+def _pair(data, max_len=200):
+    n = data.draw(st.integers(0, max_len))
+    return BitString.from_int(data.draw(st.integers(0, (1 << n) - 1)), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_prop_derived_strings_equal_from_int_results(data):
+    a, b = _pair(data), _pair(data)
+    n = len(a)
+    i = data.draw(st.integers(0, n))
+    j = data.draw(st.integers(i, n))
+    assert a[i:j] == BitString.from_str(a.to01()[i:j])
+    assert a[i:j] == BitString.from_int(
+        (a.to_int() >> (n - j)) & ((1 << (j - i)) - 1), j - i)
+    assert truncate(a, n - j) == BitString.from_int(a.to_int() >> (n - j), j)
+    joined = BitString.from_int((a.to_int() << len(b)) | b.to_int(),
+                                n + len(b))
+    assert concat(a, b) == joined
+    assert concat_all([a, b]) == joined
+    assert concat_all([a[:i], a[i:j], a[j:], b]) == joined
+    c = BitString.from_int(data.draw(st.integers(0, (1 << n) - 1)), n)
+    assert xor(a, c) == BitString.from_int(a.to_int() ^ c.to_int(), n)
+    assert BitString.from_str((a ^ c).to01()) == a ^ c
+
+
+def test_derived_strings_keep_the_range_check():
+    from qlhl.bits import _bitstring
+    assert _bitstring(5, 3) == BitString.from_int(5, 3)
+    for value, length in ((8, 3), (-1, 3), (1, 0)):
+        with pytest.raises(ValueError, match="does not fit"):
+            _bitstring(value, length)
+        with pytest.raises(ValueError, match="does not fit"):
+            BitString.from_int(value, length)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        BitString.from_int(0, -1)
+    with pytest.raises(ValueError, match="xor length mismatch"):
+        xor(BitString.zeros(3), BitString.zeros(4))

@@ -1,10 +1,13 @@
 """Tests for secret-key mixing in private- and public-seed modes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlhl import combiner
 from qlhl.bits import BitString, concat
 from qlhl.bootstrap import Infeasible
 from qlhl.bounds import ThreatCase
@@ -329,3 +332,71 @@ def test_model_pqc_key_is_computational():
     assert floored.hmin == 100.0
     with pytest.raises(ValueError):
         model_pqc_key(128, SecurityLevel(40.0), hill_floor=129)
+
+
+def _reveal_output(rng, hmin2, lambda2, **kwargs):
+    full = SourceSpec.secure("k1", 256, SecurityLevel.zero())
+    weak = SourceSpec("k2", 256, hmin2, SecurityLevel.zero())
+    return _public_request(rng, full, weak, threat=ThreatCase.REVEAL_OUTPUT,
+                           lambda2=lambda2, **kwargs)
+
+
+@pytest.mark.parametrize("lambda2, shortfall", [
+    (9.5, 0.5), (10.0, 1.0), (10.5, 1.5), (11.0, 2.0), (11.5, 2.5)])
+def test_reveal_cap_shortfall_is_one_bit_minus_the_cap(lambda2, shortfall):
+    # key2 of hmin 10 caps the output at 10 - lambda2 bits
+    rng = np.random.default_rng(47)
+    with pytest.raises(Infeasible) as exc:
+        combine_public(_reveal_output(rng, 10.0, lambda2))
+    assert exc.value.shortfall_bits == shortfall
+    # that much more entropy in key2 makes the same request feasible
+    result = combine_public(_reveal_output(rng, 10.0 + shortfall, lambda2))
+    assert len(result.output) == 1
+
+
+def test_reveal_caps_leave_accepted_lengths_as_they_were():
+    # accepted lengths are min(bound, int(cap1), int(cap2), input):
+    # measuring shortfalls from the unfloored cap moves none of them
+    rng = np.random.default_rng(48)
+    for lambda2 in np.arange(0.0, 9.01, 0.25):
+        result = combine_public(_reveal_output(rng, 10.0, float(lambda2)))
+        caps = (256 - 0.0, 10.0 - lambda2)
+        want = min(result.report.max_output_len, *map(int, caps), 512)
+        assert len(result.output) == want
+    # a requested length past a fractional cap falls short of the cap
+    with pytest.raises(Infeasible) as exc:
+        combine_public(_reveal_output(rng, 10.0, 4.5, requested_len=6))
+    assert exc.value.shortfall_bits == 0.5
+    assert len(combine_public(
+        _reveal_output(rng, 10.0, 4.5, requested_len=5)).output) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 300), st.integers(0, 2 ** 32))
+def test_prop_private_seed_and_input_are_the_alpha_slices(len1, len2,
+                                                          draw):
+    rng = np.random.default_rng(draw)
+    key1, spec1 = _key(rng, len1, "k1")
+    key2, spec2 = _key(rng, len2, "k2")
+    # at 2^-1 the NoReveal bound admits every split
+    req = CombineRequest(key1=key1, spec1=spec1, key2=key2, spec2=spec2,
+                         mode=CombineMode.PRIVATE_SEED,
+                         eps_hash=SecurityLevel(1.0), auto_truncate=True)
+    extract_fast, seen = combiner.extract_fast, []
+
+    def spy(h, x):
+        seen.append((h.seed, x))
+        return extract_fast(h, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(combiner, "extract_fast", spy)
+        combine_private(req)
+    k1, k2 = key1.to01(), key2.to01()
+    if (len1 + len2) % 2 == 0:
+        k2 = k2[:-1]
+    total = len1 + len(k2)
+    a1 = int(Fraction(total - 1, 2 * total) * len1)
+    a2 = (total - 1) // 2 - a1
+    want_seed = BitString.from_str(k1[:a1] + k2[:a2])
+    want_input = BitString.from_str(k1[a1:] + k2[a2:])
+    assert seen == [(want_seed, want_input)]

@@ -1,9 +1,10 @@
 """Tests for security-level arithmetic and the source accounting ledger."""
 
+import functools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qlhl.ledger import (EntropyKind, IndependenceError, SecurityLevel,
                          SourceSpec, concat_sources, eps_add, eps_sum,
@@ -155,3 +156,55 @@ def test_source_from_kv_names_a_missing_key():
         del record[missing]
         with pytest.raises(ValueError, match=missing):
             source_from_kv(kv_format(record))
+
+
+def test_negative_zero_level_is_stored_as_zero():
+    level = SecurityLevel(-0.0)
+    assert math.copysign(1.0, level.neg_log2) == 1.0
+    assert str(level) == "2^-0"
+    assert str(SecurityLevel.exp2(-0.0)) == "2^-0"
+    # a zero term leaves the other operand as it is, so no -0.0 survives
+    # a sum either
+    total = eps_sum([SecurityLevel(-0.0), SecurityLevel.zero()])
+    assert math.copysign(1.0, total.neg_log2) == 1.0
+    assert SecurityLevel(0).neg_log2 == 0
+
+
+def _pairwise_add(x, y):
+    """-log2 of a two-term eps sum, as the pairwise eps_add computed it."""
+    if x > y:
+        x, y = y, x
+    if math.isinf(x):
+        return math.inf
+    return max(0.0, x - math.log2(1.0 + 2.0 ** (x - y)))
+
+
+# zero, integer, fractional and near-1 levels (whose sums clamp at 0)
+fold_levels = st.one_of(
+    st.just(math.inf),
+    st.integers(0, 128),
+    st.integers(0, 128).map(float),
+    st.floats(min_value=0.0, max_value=128.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(fold_levels, min_size=1, max_size=6))
+def test_prop_eps_sum_is_the_pairwise_left_fold(values):
+    levels = [SecurityLevel(v) for v in values]
+    want = functools.reduce(_pairwise_add, [lv.neg_log2 for lv in levels])
+    assert eps_sum(levels).neg_log2 == want
+    assert functools.reduce(eps_add, levels).neg_log2 == want
+    assert functools.reduce(lambda a, b: a + b, levels).neg_log2 == want
+
+
+def test_eps_sum_covers_zero_and_clamped_terms():
+    zero = SecurityLevel.zero()
+    assert eps_sum([]).is_zero()
+    assert eps_sum([zero, zero]).is_zero()
+    assert eps_sum([zero, SecurityLevel(17.5), zero]).neg_log2 == 17.5
+    assert eps_sum([SecurityLevel(64)]).neg_log2 == 64.0
+    # 2^-0.5 * 3 > 1 clamps at 0 on the second step and stays there
+    half = SecurityLevel(0.5)
+    assert eps_sum([half, half, half]).neg_log2 == 0.0
