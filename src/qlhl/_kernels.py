@@ -74,7 +74,9 @@ exact:
 Memory of the byte tables. E takes 256 * width bytes, about 32 L: 264
 KB for the (3,111, 5,081) block and 1 MB for the 32 kbit one. A
 gathered chunk takes at most _BYTES_CHUNK_BYTES = 512 KiB and is
-allocated per call.
+allocated per call. The input byte positions 0 .. nx - 1 that index the
+gather are a read-only array kept for the last _POSITION_ARRAYS widths,
+8 bytes per input byte (17 KB for the 32 kbit block).
 
 Kept arrays. The FFT's work arrays, the byte tables' table, and the
 chained MAC's packed block matrix and padded message bytes (filled by
@@ -192,6 +194,7 @@ bounded by those chunks whatever the message length.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 
 import numpy as np
@@ -213,6 +216,8 @@ _FOLD_LEFT = np.arange(63, -1, -1, dtype=np.uint64)
 _FOLD_RIGHT = np.arange(1, 65, dtype=np.uint64)
 # (k, m) block shapes whose ranking of forms is kept
 _FORM_CACHE_SHAPES = 1024
+# input widths whose byte positions the byte-table product keeps
+_POSITION_ARRAYS = 64
 # cost model in microseconds, see the module docstring
 _INT_OP_US = 0.074
 _INT_OP_US_PER_BIT = 0.000035
@@ -242,6 +247,11 @@ _BYTES_CHUNK_BYTES = 1 << 19
 
 # byte -> byte with its 8 bits in reverse order
 _REVERSE_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# shifts of the 8 rows d >> q of a byte table, q = 0..7, from d's words
+# (right by q) and the next word up (left by 64 - q; numpy shifts uint64
+# by 64 to 0)
+_ROW_SHIFTS = np.arange(8, dtype=np.uint64)[:, None]
+_CARRY_SHIFTS = 64 - _ROW_SHIFTS
 
 
 def backend() -> str:
@@ -307,11 +317,9 @@ def _bytes(d: int, xr: int, k: int, m: int) -> int:
     """Block product by a 256-row table of byte column sums."""
     nx, words, width = _byte_shape(k, m)
     table = _kept("table", 256 * width, np.uint8)
-    # row q of shifted is d >> q, from d's words and the next word up
-    # (numpy shifts uint64 by 64 to 0)
+    # row q of shifted is d >> q
     dw = np.frombuffer(d.to_bytes(width + 8, "little"), "<u8")
-    qs = np.arange(8, dtype=np.uint64)[:, None]
-    shifted = (dw[:-1] >> qs) | (dw[1:] << (64 - qs))
+    shifted = (dw[:-1] >> _ROW_SHIFTS) | (dw[1:] << _CARRY_SHIFTS)
     # E[v] = xor of d >> q over the bits q set in v, by 8 doubling steps
     rows = table.view("<u8").reshape(256, width // 8)
     rows[0] = 0
@@ -322,19 +330,28 @@ def _bytes(d: int, xr: int, k: int, m: int) -> int:
     # windows[v_p, p] over the input bytes, a chunk of rows at a time
     windows = np.ndarray((256, nx, words), "<u8", table, 0, (width, 1, 8))
     v = np.frombuffer(xr.to_bytes(nx, "little"), np.uint8)
-    p = np.arange(nx)
-    acc = np.zeros(words, "<u8")
+    p = _positions(nx)
     step = max(1, _BYTES_CHUNK_BYTES // (8 * words))
-    for start in range(0, nx, step):
+    acc = np.bitwise_xor.reduce(windows[v[:step], p[:step]], axis=0)
+    for start in range(step, nx, step):
         chunk = slice(start, start + step)
         acc ^= np.bitwise_xor.reduce(windows[v[chunk], p[chunk]], axis=0)
     _trim_work()
     return int.from_bytes(acc.tobytes(), "little") & ((1 << m) - 1)
 
 
+@functools.lru_cache(maxsize=_POSITION_ARRAYS)
+def _positions(nx: int) -> np.ndarray:
+    """0 .. nx - 1, the input byte positions of a byte-table product."""
+    positions = np.arange(nx)
+    positions.flags.writeable = False
+    return positions
+
+
 # this thread's work arrays for FFT and byte-table products and its
 # chained-MAC block matrix and message bytes, kept from call to call
 _WORK = threading.local()
+_NBYTES = operator.attrgetter("nbytes")
 
 
 def _kept(name: str, size: int, dtype) -> np.ndarray:
@@ -368,7 +385,7 @@ def _trim_work() -> None:
     """Drop this thread's kept work arrays if together they pass
     _KEPT_BYTES."""
     kept = vars(_WORK)
-    if sum(a.nbytes for a in kept.values()) > _KEPT_BYTES:
+    if sum(map(_NBYTES, kept.values())) > _KEPT_BYTES:
         kept.clear()
 
 

@@ -165,14 +165,29 @@ def _bound_name(report: BoundReport) -> str:
     return f"case {case}" if case else "the public-seed bound"
 
 
+def _binding_limit(report: BoundReport, input_len: int,
+                   extra_caps: Sequence[float]) -> tuple[str, float]:
+    """Name and unfloored value of the smallest of `_settle_length`'s
+    limits, the first one on a tie; only refusals ask."""
+    limits = [(report.max_output_len, _bound_name(report),
+               report.terms["raw_value"]),
+              (input_len, "the input length", input_len)]
+    limits += [(cap, f"key{i}'s reveal cap", cap)
+               for i, cap in enumerate(extra_caps, 1)]
+    _, name, value = min(limits, key=lambda entry: entry[0])
+    return name, value
+
+
 def _settle_length(report: BoundReport, requested: Optional[int],
                    input_len: int, extra_caps: Sequence[float] = ()
                    ) -> int:
     """The output length: the bound's, the input's and every cap's
     limit, floored, or `requested` below that.
 
-    A refusal's shortfall is measured against the tightest limit before
-    the floor, so a cap of 0.5 bits falls 0.5 short of one bit.
+    `extra_caps` are the keys' reveal caps, key1's first. A refusal's
+    shortfall is measured against the tightest limit before the floor,
+    so a cap of 0.5 bits falls 0.5 short of one bit; its message names
+    that limit and gives its unfloored value (the bound's raw value).
     """
     if not report.feasible:
         raise Infeasible(max(0.0, -report.terms["raw_value"]),
@@ -182,13 +197,17 @@ def _settle_length(report: BoundReport, requested: Optional[int],
     length = math.floor(limit)
     if requested is not None:
         if requested > length:
+            name, value = _binding_limit(report, input_len, extra_caps)
             raise Infeasible(requested - limit,
-                             f"requested {requested} bits but "
-                             f"{_bound_name(report)} allows only {length}")
+                             f"requested {requested} bits but {name} "
+                             f"allows only {value:g}")
         length = limit = requested
     if length < 1:
-        raise Infeasible(1.0 - limit, "no extractable bits under "
-                         f"{_bound_name(report)}")
+        name, value = ("the requested length", requested) \
+            if requested is not None \
+            else _binding_limit(report, input_len, extra_caps)
+        raise Infeasible(1.0 - limit, f"no extractable bits under {name} "
+                                      f"({value:g} bits)")
     return length
 
 

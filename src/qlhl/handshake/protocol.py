@@ -32,6 +32,18 @@ Stage seeds are one bit shorter than their input, sized at runtime from
 the actual transcript; for stage 4 the seed is drawn at m7 using the
 fixed size of m8, whose bytes enter the stage only after the exchange.
 
+What a party computes once per run and what per message. The schedule
+geometry (ScheduleParams from `budget`, with each stage's output
+lengths, stage eps and hash penalty) is public and kept by the schedule
+module across runs; a party adds, when it starts, the fixed part of
+each stage's seed length (keys, label and, for stage 4, m8) and its
+field sizes. Per message it frames the message once, keeps its core as
+a running int of the core transcript and that transcript's byte count,
+packs a seed from one draw, and xors pads and KEM masks as ints. Per
+stage it builds the traffic bits from the running int, without joining
+the transcript again. Nothing secret outlives the run: the kept values
+are public parameters only.
+
 Pads are carved as disjoint segments of the named handshake-traffic
 secrets in a fixed order on both sides; running out is a hard error,
 never silent reuse. The PRF-derived keys (from the KEM secrets and the
@@ -57,12 +69,14 @@ from .providers import (KemKeyPair, MockKem, MockQkdStore, UnknownQkdIdError,
                         prf_expand)
 from .schedule import STAGE_OUTPUTS, ScheduleParams, budget, schedule_stage
 from .wire import FIELDS, SEED_FIELD_INDEX, WireError, core_form, \
-    encode_message, decode_message, field_to_bits
+    encode_message, decode_message, field_to_bits, with_seed
 # no longer called here; perfbench's tracing still resolves it by this path
 from .wire import core_of_wire  # noqa: F401
 
 # domain-separation constants: 1..8, each 8 ASCII bytes = 64 bits
 LABELS = {i: f"QLHL/L{i}".encode() + b"\0" for i in range(1, 9)}
+# the same labels as the bit strings a stage hashes
+LABEL_BITS = {i: BitString.from_bytes(label) for i, label in LABELS.items()}
 
 NONCE_BYTES = 4
 QKD_ID_BYTES = 8
@@ -282,15 +296,25 @@ class _Party:
         self.field_bytes = {"kem": cfg.kem_bytes, "nonce": NONCE_BYTES,
                             "id": QKD_ID_BYTES,
                             "tag": (cfg.tag_bits + 7) // 8}
+        # stage -> the bits of its input besides the core transcript so
+        # far: keys and 64 label bits, and for stage 4 the framed m8
+        # (header and length-prefixed fixed fields), less the one bit a
+        # seed is shorter than its input
+        n = cfg.n
+        m8 = 5 + sum(4 + self.field_bytes[kind] for kind in FIELDS[8])
+        self.seed_base = {1: n + params.qkd_budget + n + 63,
+                          2: params.k1 + n + 63, 3: params.k2 + n + 63,
+                          4: params.k3 + 63 + 8 * m8}
         self.rng = np.random.default_rng([cfg.rng_seed, self.rng_offset])
         self.kem = MockKem(cfg.n // 2, self.rng)
         self.transcript: list = []       # full wire bytes, own view
-        self.core_transcript: list = []  # seed-stripped twins
+        # the seed-stripped twins, as one big-endian int and its bytes
+        self.core_value = 0
+        self.core_bytes = 0
         self.intermediate: dict = {}
         self.pads: dict = {}             # pad name -> OneTimePad
         self.seeds: dict = {}            # stage -> public seed
         self.seed_lens: list = []
-        self.eps = cfg.eps_qkd
         self.finals: Optional[Finals] = None
 
     def send(self, index: int) -> bytes:
@@ -298,17 +322,17 @@ class _Party:
         _, step, _, args, stage = _STEPS[index]
         fields = step(self, index, *args)
         seed_stage = _SEED_STAGE.get(index)
-        core = None
-        if seed_stage is not None:      # sized with the seed field still empty
-            slot = SEED_FIELD_INDEX[index]
-            fields.insert(slot, b"")
+        if seed_stage is None:
+            msg = core = encode_message(index, fields)
+        else:       # framed with the seed field empty, which sizes the seed
+            fields.insert(SEED_FIELD_INDEX[index], b"")
             core = encode_message(index, fields)
             nbits = self._seed_len(seed_stage, len(core))
-            self.seeds[seed_stage] = BitString.from_u8(
-                self.rng.integers(0, 2, size=nbits, dtype=np.uint8))
-            fields[slot] = self.seeds[seed_stage].to_bytes()
-        msg = encode_message(index, fields)
-        self._append(msg, core or msg)
+            packed = np.packbits(self.rng.integers(
+                0, 2, size=nbits, dtype=np.uint8)).tobytes()
+            self.seeds[seed_stage] = BitString.from_bytes(packed, nbits)
+            msg = with_seed(core, packed)
+        self._append(msg, core)
         if stage:
             self._stage(stage)
         return msg
@@ -327,7 +351,9 @@ class _Party:
 
     def _append(self, msg: bytes, core: bytes) -> None:
         self.transcript.append(msg)
-        self.core_transcript.append(core)
+        self.core_value = (self.core_value << 8 * len(core)) \
+            | int.from_bytes(core, "big")
+        self.core_bytes += len(core)
 
     def _full(self, upto: Optional[int] = None) -> bytes:
         return b"".join(self.transcript[:upto])
@@ -377,8 +403,8 @@ class _Party:
 
     def _xor_pad(self, pad: str, data: bytes) -> bytes:
         """Encrypt or decrypt data under the next segment of a pad."""
-        mask = self._take(pad, 8 * len(data))
-        return (BitString.from_bytes(data) ^ mask).to_bytes()
+        mask = self._take(pad, 8 * len(data)).to_int()
+        return (int.from_bytes(data, "big") ^ mask).to_bytes(len(data), "big")
 
     # -- schedule ---------------------------------------------------------
 
@@ -386,10 +412,10 @@ class _Party:
         """Run a stage; its PRF key is derived from the KEM secret that the
         step completing it left in self.shared (and self.k_qkd, stage 1)."""
         label, derived = _STAGES[stage]
-        full = self._full()
         keys = [self.intermediate[STAGE_OUTPUTS[stage - 1][0]]] \
             if stage > 1 else []
         if derived:
+            full = self._full()
             name, prf_label = derived
             self.intermediate[name] = prf_expand(
                 self.shared, LABELS[prf_label] + full, self.cfg.n)
@@ -399,29 +425,24 @@ class _Party:
                                LABELS[1] + full, self.cfg.n)
             self.intermediate["k_SecState"] = k_sec
             keys += [self.k_qkd, k_sec]
-        traffic = BitString.from_bytes(b"".join(self.core_transcript))
+        traffic = BitString.from_int(self.core_value, 8 * self.core_bytes)
         seed = self.seeds[stage]
         outs = schedule_stage(
-            stage, keys, BitString.from_bytes(LABELS[label]), traffic,
-            seed, self.params.stage_out_lens(stage), self.cfg.eps_prime)
+            stage, keys, LABEL_BITS[label], traffic, seed,
+            self.params.stage_out_lens(stage), self.cfg.eps_prime)
         self.seed_lens.append(len(seed))
-        self.eps = eps_sum((self.eps, self.cfg.eps_seed,
-                            self.params.stage_eps))
         self.intermediate.update(zip(STAGE_OUTPUTS[stage], outs))
         if stage == 4:
-            self.finals = Finals(*outs, self.eps, len(self.k_qkd))
+            # the QKD imperfection, then each stage's seed and extraction
+            # failures in stage order
+            cfg, stage_eps = self.cfg, self.params.stage_eps
+            eps = eps_sum((cfg.eps_qkd, *(cfg.eps_seed, stage_eps) * 4))
+            self.finals = Finals(*outs, eps, len(self.k_qkd))
 
     def _seed_len(self, stage: int, pending: int) -> int:
         """One bit less than the stage's keys, label and core transcript,
         with `pending` core bytes not yet appended (and m8's for stage 4)."""
-        p, n = self.params, self.cfg.n
-        key_bits = {1: n + p.qkd_budget + n, 2: p.k1 + n, 3: p.k2 + n,
-                    4: p.k3}[stage]
-        if stage == 4:      # m8: header and length-prefixed fixed fields
-            pending += 5 + sum(4 + self.field_bytes[kind]
-                               for kind in FIELDS[8])
-        core_bytes = sum(len(c) for c in self.core_transcript) + pending
-        return key_bits + 64 + 8 * core_bytes - 1       # 64 label bits
+        return self.seed_base[stage] + 8 * (self.core_bytes + pending)
 
     # -- steps --------------------------------------------------------------
 

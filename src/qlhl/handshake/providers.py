@@ -32,6 +32,13 @@ def _h(tag: bytes, *parts: bytes, digest_size: int = 32) -> bytes:
     return h.digest()
 
 
+def _xor(a: bytes, b: bytes) -> bytes:
+    """Bytewise xor over the length of the shorter operand."""
+    size = min(len(a), len(b))
+    return (int.from_bytes(a[:size], "big")
+            ^ int.from_bytes(b[:size], "big")).to_bytes(size, "big")
+
+
 def prf_expand(secret: bytes, context: bytes, out_bits: int) -> BitString:
     """Expand a secret into out_bits pseudorandom bits bound to context."""
     if out_bits < 0:
@@ -78,15 +85,14 @@ class MockKem:
         """Return (ciphertext, shared_secret) for the given public key."""
         r = self._rand(self.secret_bytes)
         mask = _h(b"mask", public_key, digest_size=self.secret_bytes)
-        ct = bytes(a ^ b for a, b in zip(r, mask))
         ss = _h(b"ss", public_key, r, digest_size=self.secret_bytes)
-        return ct, ss
+        return _xor(r, mask), ss
 
     def decapsulate(self, secret_key: bytes, ciphertext: bytes) -> bytes:
         pk = _h(b"pk", secret_key, digest_size=self.secret_bytes)
         mask = _h(b"mask", pk, digest_size=self.secret_bytes)
-        r = bytes(a ^ b for a, b in zip(ciphertext, mask))
-        return _h(b"ss", pk, r, digest_size=self.secret_bytes)
+        return _h(b"ss", pk, _xor(ciphertext, mask),
+                  digest_size=self.secret_bytes)
 
 
 @dataclass
@@ -111,7 +117,8 @@ class MockQkdStore:
         ident = self._counter.to_bytes(8, "big")
         bits = self.rng.integers(0, 2, size=self.block_bits,
                                  dtype=np.uint8)
-        block = BitString.from_u8(bits)
+        block = BitString.from_bytes(np.packbits(bits).tobytes(),
+                                     self.block_bits)
         self._blocks[ident] = block
         return ident, block
 

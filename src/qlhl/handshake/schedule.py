@@ -21,13 +21,30 @@ Seed lengths are per-run quantities: every stage hashes keys, label,
 and transcript-so-far with a seed one bit shorter than that input, and
 the transcript length is only known once messages are on the wire.
 ScheduleParams therefore carries seed_lens=None until a run fills it.
+
+What is computed once. The chain lengths, each stage's output lengths,
+the stage eps and the hash penalty depend only on public parameters
+(the nine per-key lengths and eps'), so they are computed once and
+kept: `budget` keeps the ScheduleParams of its last _BUDGET_MEMO
+argument pairs, a ScheduleParams computes its per-stage output lengths
+on first use, and the stage eps and penalty are kept per eps'. Nothing
+secret is kept: no key, seed, transcript or output. Each `schedule_stage`
+call then does only the per-message work: it joins its inputs, checks
+the seed and the budget, runs the one extraction and splits its int.
+
+Refusals. Every length (n, the nine per-key lengths, a stage's output
+lengths) must be a finite whole number, or the call raises ValueError;
+an integral float such as 256.0 is taken as the int 256. Lengths are
+checked before the memo is looked up, so a fraction never reaches it.
+The chain arithmetic runs in float64 through `required_hmin`, which is
+exact below 2**53, so a budget that reaches 2**53 bits is refused too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from ..bits import BitString, concat_all
@@ -47,10 +64,39 @@ STAGE_OUTPUTS = {1: ("k1", "IHTS", "RHTS"),
                  4: ("IATS", "RATS", "SecStateNext")}
 
 
+# (per-key lengths, eps') pairs whose ScheduleParams `budget` keeps, and
+# eps' values whose stage eps and hash penalty are kept
+_BUDGET_MEMO = 64
+# bit counts from here on are not exact in the float64 chain arithmetic
+_EXACT_BITS = 1 << 53
+
+
 class BudgetExceeded(ValueError):
     """Stage outputs ask for more bits than its secure input key covers."""
 
 
+def _whole(value, what: str) -> int:
+    """value as an int; ValueError unless it is a finite whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return whole
+
+
+def _input_bits(out_bits: int, eps: SecurityLevel) -> int:
+    """`required_hmin(out_bits, eps)` as an int, refused from 2**53 bits."""
+    need = required_hmin(out_bits, eps)
+    if not need < _EXACT_BITS:
+        raise ValueError(f"{out_bits} output bits at eps {eps} need {need} "
+                         f"input bits, beyond the 2**53 the budget "
+                         f"arithmetic holds exactly")
+    return int(need)
+
+
+@functools.lru_cache(maxsize=_BUDGET_MEMO)
 def _stage_eps(eps_prime: SecurityLevel) -> SecurityLevel:
     """The eps one stage meets, 2^-floor(log2(1/eps')): the level its
     hash penalty pays for, which a fractional eps' would overstate."""
@@ -58,6 +104,12 @@ def _stage_eps(eps_prime: SecurityLevel) -> SecurityLevel:
         raise ValueError("budgeting needs a nonzero extraction failure "
                          "probability")
     return SecurityLevel(float(math.floor(eps_prime.neg_log2)))
+
+
+@functools.lru_cache(maxsize=_BUDGET_MEMO)
+def _hash_penalty(eps_prime: SecurityLevel) -> int:
+    """Bits one extraction stage loses at eps'."""
+    return _input_bits(0, _stage_eps(eps_prime))
 
 
 @dataclass(frozen=True)
@@ -86,7 +138,7 @@ class ScheduleParams:
     @property
     def hash_penalty(self) -> int:
         """Bits lost to one extraction stage."""
-        return int(required_hmin(0, self.stage_eps))
+        return _hash_penalty(self.eps_prime)
 
     @property
     def stage_eps(self) -> SecurityLevel:
@@ -97,14 +149,25 @@ class ScheduleParams:
         """Output lengths for one stage, in emission order."""
         if stage not in STAGE_OUTPUTS:
             raise ValueError("stage must be 1..4")
+        return self._out_lens[stage]
+
+    @functools.cached_property
+    def _out_lens(self) -> dict:
+        # stage -> its output lengths, computed on first use (a dataclass
+        # field would enter eq, repr and `replace`)
         lens = dict(zip(KEY_NAMES, self.per_key_lengths),
                     k1=self.k1, k2=self.k2, k3=self.k3)
-        return tuple(lens[name] for name in STAGE_OUTPUTS[stage])
+        return {stage: tuple(lens[name] for name in names)
+                for stage, names in STAGE_OUTPUTS.items()}
 
 
 def budget(n: int, eps_prime: SecurityLevel,
            per_key_lengths: Optional[Sequence[int]] = None) -> ScheduleParams:
     """Compute chain lengths and the QKD bits one run consumes.
+
+    The result depends only on public parameters and is kept for the
+    last _BUDGET_MEMO (lengths, eps') pairs; a ScheduleParams is frozen,
+    so callers share it.
 
     Args:
         n: common length for all nine derived keys; ignored when an
@@ -114,25 +177,39 @@ def budget(n: int, eps_prime: SecurityLevel,
 
     Returns:
         ScheduleParams with the chain and total budget resolved.
+
+    Raises:
+        ValueError: a length is not a whole number from 1 to 2**53 - 1,
+            eps' is zero, or the budget reaches 2**53 bits.
     """
+    n = _whole(n, "per-key length")
     if per_key_lengths is None:
         if n < 1:
             raise ValueError("per-key length must be >= 1")
         lengths = (n,) * 9
     else:
-        lengths = tuple(int(v) for v in per_key_lengths)
+        lengths = tuple(_whole(v, "every per-key length")
+                        for v in per_key_lengths)
         if len(lengths) != 9:
             raise ValueError("expected exactly 9 per-key lengths")
         if any(v < 1 for v in lengths):
             raise ValueError("every per-key length must be >= 1")
+    if max(lengths) >= _EXACT_BITS:
+        raise ValueError("every per-key length must be below 2**53")
+    return _budget(lengths, eps_prime)
+
+
+@functools.lru_cache(maxsize=_BUDGET_MEMO)
+def _budget(lengths: tuple, eps_prime: SecurityLevel) -> ScheduleParams:
+    """`budget` of validated per-key lengths."""
     eps = _stage_eps(eps_prime)
     lens = dict(zip(KEY_NAMES, lengths))
     # a stage's secure input carries the entropy its outputs require:
     # the previous stage's chain key, or for stage 1 the QKD block
     for stage in (4, 3, 2, 1):
         secure = STAGE_OUTPUTS[stage - 1][0] if stage > 1 else "qkd"
-        lens[secure] = int(required_hmin(
-            sum(lens[name] for name in STAGE_OUTPUTS[stage]), eps))
+        lens[secure] = _input_bits(
+            sum(lens[name] for name in STAGE_OUTPUTS[stage]), eps)
     common = lengths[0] if len(set(lengths)) == 1 else 0
     return ScheduleParams(n=common, eps_prime=eps_prime,
                           per_key_lengths=lengths, k1=lens["k1"],
@@ -172,19 +249,24 @@ def schedule_stage(stage: int, key_material: Sequence[BitString],
     if len(keys) <= secure:
         raise ValueError(f"stage {stage} needs its secure key at input "
                          f"position {secure}")
+    out_lens = [_whole(v, "every output length") for v in out_lens]
     if not out_lens or any(v < 1 for v in out_lens):
         raise ValueError("output lengths must all be >= 1")
-    input_bits = concat_all(list(keys) + [label, traffic])
+    input_bits = concat_all(keys + [label, traffic])
     if len(seed) != len(input_bits) - 1:
         raise ValueError(f"stage {stage} seed must be "
                          f"{len(input_bits) - 1} bits, got {len(seed)}")
     total = sum(out_lens)
-    penalty = int(required_hmin(0, _stage_eps(eps_prime)))
-    allowed = len(keys[secure]) - penalty
+    allowed = len(keys[secure]) - _hash_penalty(eps_prime)
     if total > allowed:
         raise BudgetExceeded(f"stage {stage} outputs need {total} bits but "
                              f"the secure input covers {allowed}")
     h = SeededHash(ExtractorParams.modified(len(input_bits), total), seed)
-    out = extract_fast(h, input_bits)
-    ends = [0, *accumulate(out_lens)]
-    return [out[start:end] for start, end in zip(ends, ends[1:])]
+    # split the output's int from the front: `rest` bits follow each piece
+    value, rest = extract_fast(h, input_bits).to_int(), total
+    outs = []
+    for width in out_lens:
+        rest -= width
+        outs.append(BitString.from_int(value >> rest, width))
+        value &= (1 << rest) - 1
+    return outs

@@ -11,11 +11,12 @@ KEM key or ciphertext, or a certificate, which is a KEM public key),
 "nonce", "id" (a QKD block id), "seed" (a public extraction seed) and
 "tag" (a finish tag). A receiver sizes every field from this table.
 SEED_FIELD_INDEX, derived from it, gives the position of the seed field
-in the messages that carry one. The "core" form of a message replaces
-that field with an empty one: seed sizes depend on the transcript, and
-the transcript fed to the extractor is built from core forms so the
-sizes are known before any seed is drawn. MACs and the PRF contexts bind
-the full wire bytes, seeds included.
+in the messages that carry one; it is always the last field. The "core"
+form of a message replaces that field with an empty one: seed sizes
+depend on the transcript, and the transcript fed to the extractor is
+built from core forms so the sizes are known before any seed is drawn.
+A sender frames the core once and fills the seed in (`with_seed`). MACs
+and the PRF contexts bind the full wire bytes, seeds included.
 """
 
 from __future__ import annotations
@@ -30,9 +31,12 @@ FIELDS = {1: ("kem", "nonce"), 2: ("kem", "id", "nonce", "seed"),
           7: ("tag", "seed"), 8: ("tag",)}
 MESSAGE_COUNT = len(FIELDS)
 
-# message index -> 0-based payload field carrying a seed
+# message index -> 0-based payload field carrying a seed, which
+# `with_seed` needs to be the last one
 SEED_FIELD_INDEX = {index: kinds.index("seed")
                     for index, kinds in FIELDS.items() if "seed" in kinds}
+assert all(slot == len(FIELDS[index]) - 1
+           for index, slot in SEED_FIELD_INDEX.items())
 
 
 class WireError(ValueError):
@@ -83,6 +87,18 @@ def core_form(msg_type: int, fields: Sequence[bytes]) -> bytes:
     stripped = list(fields)
     stripped[idx] = b""
     return encode_message(msg_type, stripped)
+
+
+def with_seed(core: bytes, seed: bytes) -> bytes:
+    """The message whose core form is `core`: its last field, the
+    emptied seed field, filled with `seed`.
+
+    `core` is framed by `encode_message`; only the payload length and the
+    seed field change, so the message is not framed a second time.
+    """
+    payload_len = len(core) - 5 + len(seed)
+    return (core[:1] + payload_len.to_bytes(4, "big") + core[5:-4]
+            + len(seed).to_bytes(4, "big") + seed)
 
 
 def core_of_wire(data: bytes) -> bytes:

@@ -1,6 +1,7 @@
 """Tests for secret-key mixing in private- and public-seed modes."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -369,6 +370,46 @@ def test_reveal_caps_leave_accepted_lengths_as_they_were():
     assert exc.value.shortfall_bits == 0.5
     assert len(combine_public(
         _reveal_output(rng, 10.0, 4.5, requested_len=5)).output) == 5
+
+
+def _refusal(req):
+    with pytest.raises(Infeasible) as exc:
+        combine_public(req)
+    return exc.value.shortfall_bits, str(exc.value)
+
+
+def test_refusal_names_the_limit_that_binds():
+    rng = np.random.default_rng(49)
+    full = SourceSpec.secure("k1", 256, SecurityLevel.zero())
+    hill = SourceSpec("k2", 64, 10.0, SecurityLevel.zero(),
+                      kind=EntropyKind.HILL)
+
+    def reveal(**kwargs):
+        return _public_request(rng, full, hill,
+                               threat=ThreatCase.REVEAL_OUTPUT, **kwargs)
+
+    # key2's cap, 10 - 30, binds below the bound (204) and key1's cap
+    # (256 - 32); the shortfalls are measured from it as before
+    assert _refusal(reveal(lambda1=32.0, lambda2=30.0, requested_len=5)) == (
+        25.0, "requested 5 bits but key2's reveal cap allows only -20")
+    assert _refusal(reveal(lambda1=32.0, lambda2=30.0)) == (
+        21.0, "no extractable bits under key2's reveal cap (-20 bits)")
+    # key1's cap, 256 - 255.5, keeps its fraction
+    assert _refusal(reveal(lambda1=255.5, lambda2=0.0)) == (
+        0.5, "no extractable bits under key1's reveal cap (0.5 bits)")
+    # no reveal: the public-seed bound, 266 - 64 + 2, binds
+    assert _refusal(_public_request(rng, full, hill, requested_len=205)) == (
+        1.0, "requested 205 bits but the public-seed bound allows only 204")
+    # with key2 full, a loose eps_hash lifts the bound (320 - 1 + 2) past
+    # the 320-bit input
+    full2 = SourceSpec.secure("k2", 64, SecurityLevel.zero())
+    loose = replace(_public_request(rng, full, full2, requested_len=321),
+                    eps_hash=SecurityLevel(0.5))
+    assert _refusal(loose) == (
+        1.0, "requested 321 bits but the input length allows only 320")
+    # a request below one bit is the limit itself
+    assert _refusal(_public_request(rng, full, hill, requested_len=0)) == (
+        1.0, "no extractable bits under the requested length (0 bits)")
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlhl.bits import BitString, concat_all
 from qlhl.bounds import required_hmin
@@ -14,9 +15,9 @@ from qlhl.handshake import (AbortReason, BudgetExceeded, InMemoryChannel,
                             ScheduleParams, TamperSpec, UnknownQkdIdError,
                             budget, dump_transcript, make_configs,
                             run_handshake, schedule_stage)
-from qlhl.handshake import protocol
-from qlhl.handshake.protocol import (OUTCOME_ABORT, OUTCOME_SUCCESS,
-                                     HandshakeConfig)
+from qlhl.handshake import protocol, schedule
+from qlhl.handshake.protocol import (LABEL_BITS, OUTCOME_ABORT,
+                                     OUTCOME_SUCCESS, HandshakeConfig)
 from qlhl.handshake.wire import (FIELDS, core_of_wire, decode_message,
                                  encode_message)
 from qlhl.ledger import SecurityLevel
@@ -88,6 +89,73 @@ def test_budget_validation():
         budget(64, SecurityLevel.zero())
     with pytest.raises(ValueError):
         budget(0, E16, per_key_lengths=(8,) * 8)
+
+
+def test_budget_refuses_lengths_that_are_not_whole_numbers():
+    with pytest.raises(ValueError, match="whole number"):
+        budget(1.5, E16)
+    for bad in (8.7, math.inf, math.nan, "8"):
+        with pytest.raises(ValueError, match="whole number"):
+            budget(0, E16, per_key_lengths=(bad,) * 9)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        budget(2 ** 60, E16)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        budget(64, SecurityLevel(2.0 ** 60))
+    # an integral float is its int, before the memo is looked up
+    assert budget(256.0, E16) == budget(256, E16)
+    assert type(budget(256.0, E16).n) is int
+
+
+def test_budget_memo_equals_a_fresh_computation():
+    eps = SecurityLevel(64.0)
+    lens = (32, 32, 64, 48, 48, 64, 64, 16, 16)
+    for n, per_key in ((256, None), (0, lens), (128, (128,) * 9)):
+        want = schedule._budget.__wrapped__(
+            per_key if per_key else (n,) * 9, eps)
+        first = budget(n, eps, per_key)
+        assert first == want
+        assert budget(n, eps, per_key) is first
+        assert [first.stage_out_lens(s) for s in range(1, 5)] == \
+            [want.stage_out_lens(s) for s in range(1, 5)]
+    assert schedule._budget.cache_info().maxsize == schedule._BUDGET_MEMO
+
+
+# NaN, infinities, fractions, negatives and huge integers
+_NUMBERS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.fractions(), st.integers(-2 ** 70, 2 ** 70),
+                     st.integers(1, 600), st.sampled_from([2 ** 53, 10 ** 400]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NUMBERS, st.none() | st.lists(_NUMBERS, min_size=8, max_size=10),
+       st.lists(_NUMBERS, max_size=4), st.floats(0.0, 80.0))
+def test_schedule_refuses_bad_numbers_only_with_value_error(n, lengths,
+                                                            out_lens, lg):
+    eps = SecurityLevel(lg)
+    try:
+        budget(n, eps, lengths)
+    except ValueError:          # BudgetExceeded is one
+        pass
+    key = BitString.zeros(200)
+    label = LABEL_BITS[3]
+    traffic = BitString.zeros(16)
+    seed = BitString.zeros(200 + 64 + 16 - 1)
+    try:
+        schedule_stage(2, [key], label, traffic, seed, out_lens, eps)
+    except ValueError:
+        pass
+
+
+def test_schedule_stage_refuses_output_lengths_that_are_not_whole():
+    rng = np.random.default_rng(54)
+    key, label, traffic, _, seed = _stage_fixture(rng)
+    for bad in (math.nan, math.inf, 2.5):
+        with pytest.raises(ValueError, match="whole number"):
+            schedule_stage(2, [key], label, traffic, seed, (bad,), E16)
+    with pytest.raises(BudgetExceeded):
+        schedule_stage(2, [key], label, traffic, seed, (10 ** 400,), E16)
+    assert schedule_stage(2, [key], label, traffic, seed, (20.0, 10), E16) \
+        == schedule_stage(2, [key], label, traffic, seed, (20, 10), E16)
 
 
 # -- stage extraction --------------------------------------------------------
@@ -196,6 +264,129 @@ def test_clean_run_frozen_regression_values():
     assert finals.out_eps.neg_log2 == pytest.approx(14.0)
     assert hashlib.sha256(b"".join(result.messages)).hexdigest() == (
         "8195af8bb84eb186a8fd755a10866a2743a0ddd153df6b9e31214ab5cca82c59")
+
+
+# frozen before the schedule geometry was kept across runs: per (n,
+# -log2 eps', tampered message or 0), the first 16 hex digits of the
+# SHA-256 of the delivered messages, and of the finals (hex keys, eps,
+# QKD bits and seed lengths) on success or else the abort reason and
+# party; the flipped bit is bit 4 * len + 3 of the clean run's message
+_GRID = {
+    (128, 32.0, 0): ('835201b6f40e7b3d', '7d5475084ede378f'),
+    (128, 32.0, 1): ('0e80e26729d462e5', 'CertUntrusted/initiator'),
+    (128, 32.0, 2): ('bc85c49656e11989', 'CertUntrusted/initiator'),
+    (128, 32.0, 3): ('51d9d405aad542bc', 'BadMessage/initiator'),
+    (128, 32.0, 4): ('6577d45ca2c14bd4', 'CertUntrusted/responder'),
+    (128, 32.0, 5): ('47bb93363a088591', 'BadMessage/responder'),
+    (128, 32.0, 6): ('0498f48e3e7fc961', 'MacFailIF/responder'),
+    (128, 32.0, 7): ('1992b399aa132832', 'MacFailRF/initiator'),
+    (128, 32.0, 8): ('0fb879e3ff577138', 'BadMessage/initiator'),
+    (128, 64.0, 0): ('df0c648006dea359', '320599f20a022a2e'),
+    (128, 64.0, 1): ('11e8f7673e0a8a08', 'CertUntrusted/initiator'),
+    (128, 64.0, 2): ('deba9ce42a2b4f8a', 'CertUntrusted/initiator'),
+    (128, 64.0, 3): ('50715e1a3159f4f4', 'BadMessage/initiator'),
+    (128, 64.0, 4): ('af03805fae9b91ef', 'MacFailIF/responder'),
+    (128, 64.0, 5): ('477574d243a7602c', 'BadMessage/responder'),
+    (128, 64.0, 6): ('af43e8e5e164050f', 'MacFailIF/responder'),
+    (128, 64.0, 7): ('83339f132b3eeefc', 'MacFailRF/initiator'),
+    (128, 64.0, 8): ('0f6ff749362d4a3d', 'BadMessage/initiator'),
+    (128, 16.5, 0): ('a6fe85c8800b5dff', 'eceb27ccae2ef731'),
+    (128, 16.5, 1): ('a027499795309968', 'CertUntrusted/initiator'),
+    (128, 16.5, 2): ('e1d37c5d6c2d1813', 'CertUntrusted/initiator'),
+    (128, 16.5, 3): ('1560f0662a98d726', 'BadMessage/initiator'),
+    (128, 16.5, 4): ('35bfb04d30db69a2', 'CertUntrusted/responder'),
+    (128, 16.5, 5): ('41256885d6c829d2', 'BadMessage/responder'),
+    (128, 16.5, 6): ('4e2ee6eaea48ebb4', 'MacFailIF/responder'),
+    (128, 16.5, 7): ('6ee3bd1667bdfb46', 'MacFailRF/initiator'),
+    (128, 16.5, 8): ('78d74bad93b8af10', 'BadMessage/initiator'),
+    (256, 32.0, 0): ('e326370bedc739cc', '2b7367e3dca6511b'),
+    (256, 32.0, 1): ('2eacc9521708c115', 'CertUntrusted/initiator'),
+    (256, 32.0, 2): ('eb51c2c35bf463e0', 'CertUntrusted/initiator'),
+    (256, 32.0, 3): ('0d6d0ce309991023', 'CertUntrusted/initiator'),
+    (256, 32.0, 4): ('70c55ef9f406babb', 'MacFailIF/responder'),
+    (256, 32.0, 5): ('cbce44656cb02b65', 'CertUntrusted/responder'),
+    (256, 32.0, 6): ('7db4b92793472933', 'MacFailIF/responder'),
+    (256, 32.0, 7): ('898e6b74369fc25e', 'MacFailRF/initiator'),
+    (256, 32.0, 8): ('20be25621f89e6d5', 'BadMessage/initiator'),
+    (256, 64.0, 0): ('bae76c604b6f95e2', '9b5a519f24fd177a'),
+    (256, 64.0, 1): ('6b5984fb4532916d', 'CertUntrusted/initiator'),
+    (256, 64.0, 2): ('f93a1225a9e782a3', 'CertUntrusted/initiator'),
+    (256, 64.0, 3): ('6ebd2533241b6030', 'CertUntrusted/initiator'),
+    (256, 64.0, 4): ('54f29a4597433b51', 'MacFailIF/responder'),
+    (256, 64.0, 5): ('e504b98f7ab5408d', 'CertUntrusted/responder'),
+    (256, 64.0, 6): ('d3044c518b08c983', 'MacFailIF/responder'),
+    (256, 64.0, 7): ('eb939aa52a7d918a', 'MacFailRF/initiator'),
+    (256, 64.0, 8): ('9e8a6f7e887b33bd', 'BadMessage/initiator'),
+    (256, 16.5, 0): ('93ad6e7c474aaba3', 'e60c19739f5fe0a3'),
+    (256, 16.5, 1): ('2d2625b0f60bd9c9', 'CertUntrusted/initiator'),
+    (256, 16.5, 2): ('c255ed1f6fecb9a9', 'CertUntrusted/initiator'),
+    (256, 16.5, 3): ('7747d9254eb94806', 'CertUntrusted/initiator'),
+    (256, 16.5, 4): ('d42c904ffdf8334b', 'MacFailIF/responder'),
+    (256, 16.5, 5): ('07525d30c240d24a', 'CertUntrusted/responder'),
+    (256, 16.5, 6): ('d3cafbcc264a35d1', 'MacFailIF/responder'),
+    (256, 16.5, 7): ('f32c84ba9599919f', 'MacFailRF/initiator'),
+    (256, 16.5, 8): ('1e448631f9b304c5', 'BadMessage/initiator'),
+    (512, 32.0, 0): ('97fbb332546ce7e2', '8154be13ad3f533a'),
+    (512, 32.0, 1): ('12cfa700320f6815', 'CertUntrusted/initiator'),
+    (512, 32.0, 2): ('ffcf5f25e7972a5a', 'CertUntrusted/initiator'),
+    (512, 32.0, 3): ('39b32e8d2f62b976', 'CertUntrusted/initiator'),
+    (512, 32.0, 4): ('622c9794ee4a9941', 'CertUntrusted/responder'),
+    (512, 32.0, 5): ('44ab17c7ff9faf48', 'CertUntrusted/responder'),
+    (512, 32.0, 6): ('1ea64c13d140dc3d', 'MacFailIF/responder'),
+    (512, 32.0, 7): ('a00f37f608f10efc', 'MacFailRF/initiator'),
+    (512, 32.0, 8): ('c2e2611fc3447152', 'BadMessage/initiator'),
+    (512, 64.0, 0): ('5dc520fb5370bb25', '0d0e1b792ef67a75'),
+    (512, 64.0, 1): ('8097bc5a186728e9', 'CertUntrusted/initiator'),
+    (512, 64.0, 2): ('ca91e498077b00bb', 'CertUntrusted/initiator'),
+    (512, 64.0, 3): ('ced17d2f5892c47c', 'CertUntrusted/initiator'),
+    (512, 64.0, 4): ('ff5d8a6717b54def', 'CertUntrusted/responder'),
+    (512, 64.0, 5): ('7c48e9d074012995', 'CertUntrusted/responder'),
+    (512, 64.0, 6): ('dcf47bf6166d1d57', 'MacFailIF/responder'),
+    (512, 64.0, 7): ('0a09fe0bf6a12c8a', 'MacFailRF/initiator'),
+    (512, 64.0, 8): ('222793a70d7dd5a5', 'BadMessage/initiator'),
+    (512, 16.5, 0): ('5fc462fa836cbd33', '1bfa024013c6fb06'),
+    (512, 16.5, 1): ('451dbb64d4bf3e00', 'CertUntrusted/initiator'),
+    (512, 16.5, 2): ('e92ef31f01abe12c', 'CertUntrusted/initiator'),
+    (512, 16.5, 3): ('4c46982f33c27422', 'CertUntrusted/initiator'),
+    (512, 16.5, 4): ('6a28f371f2d179ab', 'CertUntrusted/responder'),
+    (512, 16.5, 5): ('f3761e3faf98a54f', 'CertUntrusted/responder'),
+    (512, 16.5, 6): ('fba516eeb4b8e493', 'MacFailIF/responder'),
+    (512, 16.5, 7): ('3bb0fdf48e2686a8', 'MacFailRF/initiator'),
+    (512, 16.5, 8): ('fedaf326d2ef0e63', 'BadMessage/initiator'),
+}
+# one run with the tag length set: n = 64, eps' = 2^-16, 21-bit tags
+_GRID_TAG21 = ('c014a8ad96f25205', 'cb97867a7c644968')
+
+
+def _grid_digest(result):
+    messages = hashlib.sha256(b"".join(result.messages)).hexdigest()[:16]
+    if result.abort_reason is not None:
+        return messages, f"{result.abort_reason.value}/{result.abort_party}"
+    f = result.initiator_finals
+    assert f == result.responder_finals
+    finals = "|".join((f.iats.to_hex(), f.rats.to_hex(),
+                       f.sec_state_next.to_hex(), repr(f.out_eps.neg_log2),
+                       str(f.consumed_qkd), repr(result.params.seed_lens)))
+    return messages, hashlib.sha256(finals.encode()).hexdigest()[:16]
+
+
+def _grid_run(n, lg, tamper=None, tag_len=None):
+    init_cfg, resp_cfg = make_configs(n, SecurityLevel(lg), rng_seed=5,
+                                      tag_len=tag_len)
+    return run_handshake(init_cfg, resp_cfg, tamper=tamper)
+
+
+def test_wire_bytes_finals_and_refusals_are_frozen_across_a_grid():
+    got = {}
+    for n in (128, 256, 512):
+        for lg in (32.0, 64.0, 16.5):
+            clean = _grid_run(n, lg)
+            got[n, lg, 0] = _grid_digest(clean)
+            for i, msg in enumerate(clean.messages, 1):
+                tamper = TamperSpec(i, 4 * len(msg) + 3)
+                got[n, lg, i] = _grid_digest(_grid_run(n, lg, tamper))
+    assert got == _GRID
+    assert _grid_digest(_grid_run(64, 16.0, tag_len=21)) == _GRID_TAG21
 
 
 def test_runs_are_deterministic_per_seed():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlhl.bits import BitString
-from qlhl.handshake.wire import (SEED_FIELD_INDEX, WireError, core_form,
-                                 core_of_wire, decode_message,
-                                 encode_message, field_to_bits)
+from qlhl.handshake.wire import (FIELDS, SEED_FIELD_INDEX, WireError,
+                                 core_form, core_of_wire, decode_message,
+                                 encode_message, field_to_bits, with_seed)
 
 fields_strategy = st.lists(st.binary(max_size=40), max_size=6)
 
@@ -59,6 +59,18 @@ def test_core_of_wire_matches_core_form():
     wire = encode_message(4, fields)
     assert core_of_wire(wire) == core_form(4, fields)
     assert SEED_FIELD_INDEX[4] == 1
+
+
+@given(st.lists(st.binary(max_size=40), min_size=4, max_size=4),
+       st.binary(max_size=40))
+def test_with_seed_frames_the_message_of_a_core(fields, seed):
+    # filling the seed into a framed core gives the message framed whole
+    for index in SEED_FIELD_INDEX:
+        payload = fields[:len(FIELDS[index]) - 1]
+        core = encode_message(index, payload + [b""])
+        msg = with_seed(core, seed)
+        assert msg == encode_message(index, payload + [seed])
+        assert core_of_wire(msg) == core
 
 
 def test_core_form_is_seed_value_independent():
