@@ -35,7 +35,8 @@ from .handshake import (BudgetExceeded, OUTCOME_ABORT, OUTCOME_SUCCESS,
                         budget, dump_transcript, its_mac_auth,
                         its_mac_verify, make_configs, run_handshake,
                         split_mac_key, transcript_mac, transcript_mac_verify)
-from .handshake.mac import _GALOIS_TAPS, transcript_mac_block_bits
+from .handshake.mac import (_GALOIS_TAPS, _WINDOW_BYTES,
+                            transcript_mac_block_bits)
 from .handshake.schedule import KEY_NAMES
 from .ledger import SecurityLevel, kv_format, kv_parse, source_from_kv
 from .oracles import (collision_probability, matrix_rank_gf2,
@@ -474,36 +475,44 @@ def _selftest_chained_mac() -> str:
     n, t = 48, 16
     b = transcript_mac_block_bits(n, t)
     fk = BitString.from_u8(rng.integers(0, 2, n, dtype=np.uint8))
-    message = rng.integers(0, 256, 13000, dtype=np.uint8).tobytes()
     # bit-level model: the hash rows and the blocks of the framed stream
     # as ints, one Galois step and one parity per row for each block
     mat = hash_matrix(SeededHash(ExtractorParams.modified(b + t, t),
                                  fk[:n - t]))[:, :b]
     rows = [int("".join(map(str, row)), 2) for row in mat]
-    framed = (8 * len(message)).to_bytes(8, "big") + message
-    nblocks = -(-8 * len(framed) // b)
-    stream = int.from_bytes(framed, "big") << (nblocks * b - 8 * len(framed))
-    state = 0
-    for k in range(nblocks - 1, -1, -1):
-        block = (stream >> (b * k)) & ((1 << b) - 1)
-        state <<= 1
-        if state >> t:
-            state ^= (1 << t) | _GALOIS_TAPS[t]
-        for i, row in enumerate(rows):
-            state ^= ((row & block).bit_count() & 1) << i
-    want = BitString([(state >> i) & 1 for i in range(t)]) ^ fk[n - t:]
-    if nblocks <= _kernels._MAC_FOLD_BLOCKS:
-        raise AssertionError("chained-MAC case fits in one fold step")
-    tag = transcript_mac(fk, message, t)
-    if tag != want:
-        raise AssertionError(f"chained tag {tag.to01()} != model "
-                             f"{want.to01()} over {nblocks} blocks")
-    tampered = bytearray(message)
-    tampered[-1] ^= 0x10
-    if transcript_mac_verify(fk, bytes(tampered), tag):
-        raise AssertionError("chained MAC accepted a one-bit tamper")
-    return (f"chained MAC: {nblocks}-block tag matches the bit model, "
-            "one-bit tamper rejected")
+    # one message framed just below the length from which the block
+    # gather changes, one at it
+    sizes = (13000, _WINDOW_BYTES - 8)
+    counts = []
+    for size in sizes:
+        message = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        framed = (8 * len(message)).to_bytes(8, "big") + message
+        nblocks = -(-8 * len(framed) // b)
+        stream = f"{int.from_bytes(framed, 'big'):0{8 * len(framed)}b}"
+        stream += "0" * (nblocks * b - len(stream))
+        state = 0
+        for k in range(nblocks):
+            block = int(stream[k * b:(k + 1) * b], 2)
+            state <<= 1
+            if state >> t:
+                state ^= (1 << t) | _GALOIS_TAPS[t]
+            for i, row in enumerate(rows):
+                state ^= ((row & block).bit_count() & 1) << i
+        want = BitString([(state >> i) & 1 for i in range(t)]) ^ fk[n - t:]
+        if nblocks <= _kernels._MAC_FOLD_BLOCKS:
+            raise AssertionError("chained-MAC case fits in one fold step")
+        tag = transcript_mac(fk, message, t)
+        if tag != want:
+            raise AssertionError(f"chained tag {tag.to01()} != model "
+                                 f"{want.to01()} over {nblocks} blocks")
+        tampered = bytearray(message)
+        tampered[-1] ^= 0x10
+        if transcript_mac_verify(fk, bytes(tampered), tag):
+            raise AssertionError("chained MAC accepted a one-bit tamper")
+        counts.append(nblocks)
+    return (f"chained MAC: {counts[0]}- and {counts[1]}-block tags, one "
+            f"framed below {_WINDOW_BYTES} bytes and one at it, match "
+            "the bit model, one-bit tampers rejected")
 
 
 def _selftest_extract_fixture() -> str:

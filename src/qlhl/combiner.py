@@ -26,8 +26,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .bits import BitString, concat, truncate, xor
 from .bootstrap import Infeasible
-from .bounds import (BoundReport, ThreatCase, alpha_partition,
-                     combine_case_bound, public_seed_bound_many)
+from .bounds import (BoundReport, ThreatCase, combine_case_bound,
+                     public_seed_bound_many)
+# no longer called here; perfbench's tracing still resolves it by this path
+from .bounds import alpha_partition  # noqa: F401
 from .ledger import (EntropyKind, SecurityLevel, SourceSpec, concat_sources,
                      truncate_source)
 from .toeplitz import ExtractorParams, SeededHash, extract_fast
@@ -262,19 +264,21 @@ def combine_private(req: CombineRequest) -> CombineResult:
                 "total - pass auto_truncate=True to drop one bit of key2")
         key2 = truncate(key2, 1)
         spec2 = truncate_source(spec2, 1)
-    part = alpha_partition(spec1.length, spec2.length)
-    # floor(alpha * |key1|) with alpha = (total - 1) / (2 * total)
+    # the odd total splits as alpha_partition does, seed_len = input_len
+    # - 1, with a1 = floor(alpha * |key1|), alpha = (total - 1) / (2 total)
     total = spec1.length + spec2.length
+    if total < 2:
+        raise ValueError("need at least 2 bits of key material")
+    input_len = (total + 1) // 2
     a1 = (total - 1) * spec1.length // (2 * total)
-    a2 = part.seed_len - a1
+    a2 = input_len - 1 - a1
     seed = concat(key1[:a1], key2[:a2])
     input_bits = concat(key1[a1:], key2[a2:])
-    assert len(input_bits) == part.input_len
     kind = _output_kind(spec1, spec2, req.threat, req.revealed_key)
     report = combine_case_bound(req.threat, spec1.length, spec2.length,
                                 spec1.eps, spec2.eps, req.eps_hash,
                                 req.lambda1, req.lambda2, kind=kind)
-    length = _settle_length(report, req.requested_len, part.input_len)
+    length = _settle_length(report, req.requested_len, input_len)
     return _extract_combined(seed, input_bits, length, report,
                              f"mix({spec1.label},{spec2.label})", kind,
                              [(spec1, req.lambda1), (spec2, req.lambda2)])

@@ -130,6 +130,10 @@ class OneTimePad:
         self._pos = 0
 
     def take(self, nbits: int) -> BitString:
+        """The next nbits of the pad; a refused size leaves the cursor."""
+        if not isinstance(nbits, (int, np.integer)) or nbits < 0:
+            raise ValueError(f"pad {self._name}: segment size must be a "
+                             f"non-negative integer, got {nbits!r}")
         end = self._pos + nbits
         if end > len(self._bits):
             raise PadExhaustedError(

@@ -6,6 +6,7 @@ import pytest
 from qlhl import _kernels
 from qlhl.bits import BitString, read_qbits, write_qbits
 from qlhl.cli import main, parse_eps
+from qlhl.handshake import mac
 from qlhl.ledger import kv_parse, source_to_kv
 from qlhl.ledger import SecurityLevel, SourceSpec
 
@@ -416,3 +417,20 @@ def test_selftest_passes_and_reaches_the_fft(monkeypatch, capsys):
     assert all(line.startswith("ok: ") for line in lines)
     assert len(sizes) >= 2
     assert set(ran) == {"_rows", "_columns", "_bytes"}
+
+
+def test_selftest_tags_on_both_sides_of_the_gather_crossover(monkeypatch,
+                                                            capsys):
+    # the chained-MAC suite gathers one message's blocks with the one-call
+    # shift and one through 16-bit windows
+    framed = []
+    gather = mac._message_blocks
+
+    def spy(data, b):
+        framed.append(len(data))
+        return gather(data, b)
+
+    monkeypatch.setattr(mac, "_message_blocks", spy)
+    assert main(["selftest"]) == 0
+    assert "ok: chained MAC" in capsys.readouterr().out
+    assert min(framed) < mac._WINDOW_BYTES <= max(framed)

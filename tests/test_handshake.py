@@ -229,6 +229,19 @@ def test_one_time_pad_carves_sequentially():
         pad.take(1)
 
 
+@pytest.mark.parametrize("nbits", [-2, -1, 2.0, 1.5, "2", None])
+def test_one_time_pad_refuses_bad_sizes_without_moving(nbits):
+    # a negative size would move the cursor back and hand out used bits
+    pad = OneTimePad(BitString.from_str("10110011"), "demo")
+    assert pad.take(4).to01() == "1011"
+    with pytest.raises(ValueError):
+        pad.take(nbits)
+    assert pad.take(np.int64(2)).to01() == "00"
+    assert pad.take(2).to01() == "11"
+    with pytest.raises(PadExhaustedError):
+        pad.take(1)
+
+
 def test_tamper_spec_parse_and_apply():
     spec = TamperSpec.parse("m7:bit3")
     assert (spec.message_index, spec.bit_index) == (7, 3)

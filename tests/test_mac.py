@@ -274,6 +274,66 @@ def test_message_blocks_match_one_packed_unpack_at_every_shift():
             assert np.array_equal(got[-1], want[-1]), (size, b)
 
 
+@pytest.mark.parametrize("gather", ["chosen", "words", "windows"])
+def test_message_blocks_match_on_both_sides_of_the_crossover(monkeypatch,
+                                                             gather):
+    # each gather, and the one the framed length picks, over every
+    # b mod 8 on framed lengths just below and just above the crossover;
+    # an all-ones message twice as long fills the kept arrays first, so
+    # stale bytes would show in the zero tail of the last block
+    crossover = mac._WINDOW_BYTES
+    if gather != "chosen":
+        monkeypatch.setattr(mac, "_WINDOW_BYTES",
+                            1 << 40 if gather == "words" else 0)
+    rng = np.random.default_rng(54)
+    for b in (*range(1, 18), 60, 385, 1000, 1006):
+        for size in (crossover - 1, crossover, crossover + 1):
+            mac._message_blocks(b"\xff" * (2 * crossover), b)
+            framed = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+            got = mac._message_blocks(framed, b)
+            want = _packed_blocks(framed, b)
+            assert got.shape == want.shape, (size, b)
+            assert np.array_equal(_block_bits(got, b), _block_bits(want, b))
+            assert np.array_equal(got[-1], want[-1]), (size, b)
+
+
+def _chained_bit_model(fk, message, t):
+    # the tag from the definition over unpacked bits: the t x b Toeplitz
+    # block of the seed's hash matrix times each b-bit block of the
+    # zero-padded framed stream, one Galois step per block
+    n = len(fk)
+    b = n - 2 * t + 1
+    mat = hash_matrix(SeededHash(ExtractorParams.modified(b + t, t),
+                                 fk[:n - t]))[:, :b]
+    framed = (8 * len(message)).to_bytes(8, "big") + message
+    bits = np.unpackbits(np.frombuffer(framed, dtype=np.uint8))
+    bits = np.concatenate([bits, np.zeros(-bits.size % b, np.uint8)])
+    # exact in float32: every dot product is an integer below 2**24
+    parity = (bits.reshape(-1, b).astype(np.float32)
+              @ mat.T.astype(np.float32)).astype(np.int64) & 1
+    # row i of the product is state bit i
+    mixed = np.packbits(parity[:, ::-1], axis=1, bitorder="big")
+    taps, top, mask = _GALOIS_TAPS[t], 1 << (t - 1), (1 << t) - 1
+    state = 0
+    for row in mixed:
+        feedback = taps if state & top else 0
+        state = ((state << 1) & mask) ^ feedback ^ (
+            int.from_bytes(row.tobytes(), "big") >> (-t % 8))
+    return BitString([(state >> i) & 1 for i in range(t)]) ^ fk[n - t:]
+
+
+@pytest.mark.parametrize("size", [1 << 18, 600000])
+def test_long_tag_matches_the_bit_model(size):
+    # auth's 256 KB tag and a 600,000-byte one, both gathered through
+    # 16-bit windows, at t = 64 on a 512-bit key (385-bit blocks)
+    assert size + 8 >= mac._WINDOW_BYTES
+    rng = np.random.default_rng(55)
+    fk = BitString.from_u8(rng.integers(0, 2, 512, dtype=np.uint8))
+    message = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+    assert transcript_mac(fk, message, 64) == _chained_bit_model(
+        fk, message, 64)
+
+
 def test_message_blocks_are_kept_and_bounded(monkeypatch):
     # the packed block matrix is the kernels' kept array "blocks": a
     # thread reuses it, and a tag whose arrays pass the shared bound
