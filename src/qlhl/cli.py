@@ -480,11 +480,10 @@ def _selftest_chained_mac() -> str:
     mat = hash_matrix(SeededHash(ExtractorParams.modified(b + t, t),
                                  fk[:n - t]))[:, :b]
     rows = [int("".join(map(str, row)), 2) for row in mat]
-    # one message framed just below the length from which the block
-    # gather changes, one at it
-    sizes = (13000, _WINDOW_BYTES - 8)
+    # one message framed below the length from which the block gather
+    # changes, one at it
     counts = []
-    for size in sizes:
+    for size in (13000, _WINDOW_BYTES - 8):
         message = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         framed = (8 * len(message)).to_bytes(8, "big") + message
         nblocks = -(-8 * len(framed) // b)

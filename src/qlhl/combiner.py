@@ -264,8 +264,8 @@ def combine_private(req: CombineRequest) -> CombineResult:
                 "total - pass auto_truncate=True to drop one bit of key2")
         key2 = truncate(key2, 1)
         spec2 = truncate_source(spec2, 1)
-    # the odd total splits as alpha_partition does, seed_len = input_len
-    # - 1, with a1 = floor(alpha * |key1|), alpha = (total - 1) / (2 total)
+    # the odd total splits as in alpha_partition, seed_len = input_len - 1,
+    # with a1 = floor(alpha * |key1|) for alpha = (total - 1) / (2 * total)
     total = spec1.length + spec2.length
     if total < 2:
         raise ValueError("need at least 2 bits of key material")
