@@ -1,4 +1,4 @@
-"""Combining two secret keys into one via seeded extraction.
+"""Combining secret keys into one via seeded extraction.
 
 Two constructions:
 
@@ -6,9 +6,30 @@ Two constructions:
   the leading portions form the seed, the trailing portions the input.
   No outside randomness needed, at the price of roughly halving the
   output.
-- public seed: fresh public randomness (generated only after both keys
+- public seed: fresh public randomness (generated only after the keys
   exist) seeds a hash over the concatenated keys, so the full joint
   entropy is available when no key is ever revealed.
+
+Three front ends share one tail. `combine_private` splits its two keys
+into seed and input. `combine_public` (two keys, a threat case, an
+optional transcript) and `combine_public_many` (any number of keys)
+only map their arguments onto one public-seed core, which asserts the
+seed ordering, checks the keys and the seed, and runs the public-seed
+bound. Every mode ends in the same tail, which checks `requested_len`,
+settles the output length and extracts.
+
+Only `combine_public` binds a transcript: its bytes follow the keys in
+the input and carry no entropy. The refusals:
+
+- every mode: a `requested_len` that is not an integer (`ValueError`);
+  no admissible output, or a request past the bound, the input length
+  or a reveal cap (`Infeasible`, with its shortfall);
+- private: a key below full entropy (`Infeasible`), an even total
+  without `auto_truncate`, and a seed, transcript or non-zero
+  `eps_seed`, which the mode would otherwise ignore (`ValueError`);
+- public: a seed not asserted to postdate the keys
+  (`OrderingViolation`), a missing or mis-sized seed and a key whose
+  length disagrees with its spec (`ValueError`).
 
 A `ThreatCase` picks which disclosure scenario the output length must
 survive; `CombineResult.residuals` reports what each key retains if the
@@ -21,17 +42,19 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
-from .bits import BitString, concat, truncate, xor
+from .bits import BitString, concat, concat_all, truncate, xor
 from .bootstrap import Infeasible
 from .bounds import (BoundReport, ThreatCase, combine_case_bound,
                      public_seed_bound_many)
-# no longer called here; perfbench's tracing still resolves it by this path
+# no longer called here; perfbench's tracing still resolves them by this path
 from .bounds import alpha_partition  # noqa: F401
-from .ledger import (EntropyKind, SecurityLevel, SourceSpec, concat_sources,
-                     truncate_source)
+from .ledger import concat_sources  # noqa: F401
+from .ledger import EntropyKind, SecurityLevel, SourceSpec, truncate_source
 from .toeplitz import ExtractorParams, SeededHash, extract_fast
 
 
@@ -168,64 +191,65 @@ def _bound_name(report: BoundReport) -> str:
 
 
 def _binding_limit(report: BoundReport, input_len: int,
-                   extra_caps: Sequence[float]) -> tuple[str, float]:
-    """Name and unfloored value of the smallest of `_settle_length`'s
+                   caps: Sequence[float]) -> tuple[str, float]:
+    """Name and unfloored value of the smallest of `_settle_and_extract`'s
     limits, the first one on a tie; only refusals ask."""
     limits = [(report.max_output_len, _bound_name(report),
                report.terms["raw_value"]),
               (input_len, "the input length", input_len)]
     limits += [(cap, f"key{i}'s reveal cap", cap)
-               for i, cap in enumerate(extra_caps, 1)]
+               for i, cap in enumerate(caps, 1)]
     _, name, value = min(limits, key=lambda entry: entry[0])
     return name, value
 
 
-def _settle_length(report: BoundReport, requested: Optional[int],
-                   input_len: int, extra_caps: Sequence[float] = ()
-                   ) -> int:
-    """The output length: the bound's, the input's and every cap's
-    limit, floored, or `requested` below that.
+def _settle_and_extract(seed: BitString, input_bits: BitString,
+                        report: BoundReport, requested: Optional[int],
+                        caps: Sequence[float], label: str, kind: EntropyKind,
+                        keys: Sequence[tuple[BitString, SourceSpec, float]]
+                        ) -> CombineResult:
+    """Settle the output length, extract it and describe the result.
 
-    `extra_caps` are the keys' reveal caps, key1's first. A refusal's
-    shortfall is measured against the tightest limit before the floor,
-    so a cap of 0.5 bits falls 0.5 short of one bit; its message names
-    that limit and gives its unfloored value (the bound's raw value).
+    The length is the bound's, the input's and every cap's limit,
+    floored, or `requested` below that. `caps` are the keys' reveal
+    caps, key1's first. A refusal's shortfall is measured against the
+    tightest limit before the floor, so a cap of 0.5 bits falls 0.5
+    short of one bit; its message names that limit and gives its
+    unfloored value (the bound's raw value). The output is described as
+    a fully secure source, with what each key of `keys` (bits, spec,
+    residual target), named key1, key2, ..., retains once it is
+    published.
     """
+    if requested is not None and (isinstance(requested, bool) or not
+                                  isinstance(requested, numbers.Integral)):
+        raise ValueError(f"requested_len must be an integer number of "
+                         f"bits, got {requested!r}")
     if not report.feasible:
         raise Infeasible(max(0.0, -report.terms["raw_value"]),
                          f"combination infeasible: {_bound_name(report)} "
                          f"allows {report.max_output_len} bits")
-    limit = min(report.max_output_len, input_len, *extra_caps)
+    input_len = len(input_bits)
+    limit = min(report.max_output_len, input_len, *caps)
     length = math.floor(limit)
     if requested is not None:
         if requested > length:
-            name, value = _binding_limit(report, input_len, extra_caps)
+            name, value = _binding_limit(report, input_len, caps)
             raise Infeasible(requested - limit,
                              f"requested {requested} bits but {name} "
                              f"allows only {value:g}")
-        length = limit = requested
+        length = limit = int(requested)
     if length < 1:
         name, value = ("the requested length", requested) \
             if requested is not None \
-            else _binding_limit(report, input_len, extra_caps)
+            else _binding_limit(report, input_len, caps)
         raise Infeasible(1.0 - limit, f"no extractable bits under {name} "
                                       f"({value:g} bits)")
-    return length
-
-
-def _extract_combined(seed: BitString, input_bits: BitString, length: int,
-                      report: BoundReport, label: str, kind: EntropyKind,
-                      keys: Sequence[tuple[SourceSpec, float]]
-                      ) -> CombineResult:
-    """Extract `length` bits, describe them as a fully secure source and
-    give what each key (spec, residual target), named key1, key2, ...,
-    retains once they are published."""
-    params = ExtractorParams.modified(len(input_bits), length)
+    params = ExtractorParams.modified(input_len, length)
     output = extract_fast(SeededHash(params, seed), input_bits)
     # a loop, not a comprehension, which on CPython 3.11 is one more call:
     # about 1 us of a 25-45 us combine of 300-bit keys
     residuals = {}
-    for i, (spec, target) in enumerate(keys, 1):
+    for i, (_, spec, target) in enumerate(keys, 1):
         residuals[f"key{i}"] = residual_after_reveal(spec, length, target)
     return CombineResult(
         output=output, report=report, residuals=residuals,
@@ -243,13 +267,22 @@ def combine_private(req: CombineRequest) -> CombineResult:
     each key becomes the seed, so both keys must have full entropy.
 
     Raises:
-        ValueError: even total without auto_truncate.
+        ValueError: a seed, transcript or non-zero eps_seed, which this
+            mode has no use for; an even total without auto_truncate; a
+            requested_len that is not an integer.
         Infeasible: a key with hmin < length (the shortfall is the sum
             of length - hmin), a threat case that admits no output at
             eps_hash, or an oversize requested_len.
     """
     if req.mode is not CombineMode.PRIVATE_SEED:
         raise ValueError("combine_private needs mode=PRIVATE_SEED")
+    for name, given in (("seed", req.seed is not None),
+                        ("transcript", req.transcript is not None),
+                        ("eps_seed", not req.eps_seed.is_zero())):
+        if given:
+            raise ValueError(f"private mode takes no {name}: its seed comes "
+                             f"from the keys and it binds no transcript; "
+                             f"use public mode")
     key1, spec1 = req.key1, req.spec1
     key2, spec2 = req.key2, req.spec2
     deficit = (spec1.length - spec1.hmin) + (spec2.length - spec2.hmin)
@@ -278,10 +311,51 @@ def combine_private(req: CombineRequest) -> CombineResult:
     report = combine_case_bound(req.threat, spec1.length, spec2.length,
                                 spec1.eps, spec2.eps, req.eps_hash,
                                 req.lambda1, req.lambda2, kind=kind)
-    length = _settle_length(report, req.requested_len, input_len)
-    return _extract_combined(seed, input_bits, length, report,
-                             f"mix({spec1.label},{spec2.label})", kind,
-                             [(spec1, req.lambda1), (spec2, req.lambda2)])
+    return _settle_and_extract(seed, input_bits, report, req.requested_len,
+                               (), f"mix({spec1.label},{spec2.label})", kind,
+                               [(key1, spec1, req.lambda1),
+                                (key2, spec2, req.lambda2)])
+
+
+def _combine_seeded(keys: Sequence[tuple[BitString, SourceSpec, float]],
+                    seed: Optional[BitString], eps_seed: SecurityLevel,
+                    eps_hash: SecurityLevel, reveal_allowed: bool,
+                    seed_after_keys: bool, caps: Sequence[float],
+                    kind: EntropyKind, label: str,
+                    requested_len: Optional[int],
+                    transcript: Optional[bytes] = None) -> CombineResult:
+    """The public-seed construction behind both public front ends.
+
+    `keys` are (bits, spec, residual target) triples. The input is the
+    keys in order, then the transcript if given, and the seed must have
+    exactly input length minus one bits. The output is sized from the
+    keys' min-entropies: their sum, or the smallest one when reveals
+    are allowed.
+    """
+    if len(keys) < 2:
+        raise ValueError("need at least two keys")
+    if not seed_after_keys:
+        raise OrderingViolation(
+            "the public seed must be generated after all keys exist; "
+            "assert seed_after_keys=True")
+    if seed is None:
+        raise ValueError("public mode needs a seed")
+    parts = []
+    for i, (bits, spec, _) in enumerate(keys, 1):
+        if len(bits) != spec.length:
+            raise ValueError(f"key{i} length disagrees with its spec")
+        parts.append(bits)
+    if transcript is not None:
+        parts.append(BitString.from_bytes(transcript))
+    input_bits = concat_all(parts)
+    if len(seed) != len(input_bits) - 1:
+        raise ValueError(f"seed must be {len(input_bits) - 1} bits for a "
+                         f"{len(input_bits)}-bit input, got {len(seed)}")
+    report = public_seed_bound_many(
+        [spec.hmin for _, spec, _ in keys], [spec.eps for _, spec, _ in keys],
+        eps_seed, eps_hash, reveal_allowed, kind=kind)
+    return _settle_and_extract(seed, input_bits, report, requested_len, caps,
+                               label, kind, keys)
 
 
 _REVEAL_ALLOWING_CASES = (ThreatCase.CONTROLLED_KEY, ThreatCase.REVEALED_KEY,
@@ -294,43 +368,29 @@ def combine_public(req: CombineRequest) -> CombineResult:
     The input is key1 || key2 (|| transcript if given) and the seed must
     have exactly input length minus one bits. The output is sized from
     the keys' min-entropies: their sum, or the smaller one when the
-    threat case allows a reveal.
+    threat case allows a reveal; an output-reveal case also caps it at
+    each key's hmin - lambda.
 
     Raises:
         OrderingViolation: seed_after_keys not asserted.
-        ValueError: missing or mis-sized seed.
+        ValueError: missing or mis-sized seed; a requested_len that is
+            not an integer.
         Infeasible: no output admissible under the threat case.
     """
     if req.mode is not CombineMode.PUBLIC_SEED:
         raise ValueError("combine_public needs mode=PUBLIC_SEED")
-    if not req.seed_after_keys:
-        raise OrderingViolation(
-            "the public seed must be generated after both keys exist; "
-            "assert seed_after_keys=True")
-    if req.seed is None:
-        raise ValueError("public mode needs a seed")
-    input_bits = concat(req.key1, req.key2)
-    if req.transcript is not None:
-        input_bits = input_bits + BitString.from_bytes(req.transcript)
-    if len(req.seed) != len(input_bits) - 1:
-        raise ValueError(f"seed must be {len(input_bits) - 1} bits for a "
-                         f"{len(input_bits)}-bit input, got {len(req.seed)}")
-    kind = _output_kind(req.spec1, req.spec2, req.threat, req.revealed_key)
-    reveal_allowed = req.threat in _REVEAL_ALLOWING_CASES
-    report = public_seed_bound_many(
-        [req.spec1.hmin, req.spec2.hmin],
-        [req.spec1.eps, req.spec2.eps], req.eps_seed, req.eps_hash,
-        reveal_allowed, kind=kind)
-    caps: list[float] = []
+    spec1, spec2 = req.spec1, req.spec2
+    caps: tuple[float, ...] = ()
     if req.threat in (ThreatCase.REVEAL_OUTPUT,
                       ThreatCase.REVEAL_OUTPUT_AND_KEY):
-        caps = [req.spec1.hmin - req.lambda1,
-                req.spec2.hmin - req.lambda2]
-    length = _settle_length(report, req.requested_len, len(input_bits), caps)
-    return _extract_combined(req.seed, input_bits, length, report,
-                             f"mix({req.spec1.label},{req.spec2.label})",
-                             kind, [(req.spec1, req.lambda1),
-                                    (req.spec2, req.lambda2)])
+        caps = (spec1.hmin - req.lambda1, spec2.hmin - req.lambda2)
+    return _combine_seeded(
+        [(req.key1, spec1, req.lambda1), (req.key2, spec2, req.lambda2)],
+        req.seed, req.eps_seed, req.eps_hash,
+        req.threat in _REVEAL_ALLOWING_CASES, req.seed_after_keys, caps,
+        _output_kind(spec1, spec2, req.threat, req.revealed_key),
+        f"mix({spec1.label},{spec2.label})", req.requested_len,
+        req.transcript)
 
 
 def combine_public_many(keys: Sequence[tuple[BitString, SourceSpec]],
@@ -343,31 +403,15 @@ def combine_public_many(keys: Sequence[tuple[BitString, SourceSpec]],
     """Mix any number of independent keys under one public seed.
 
     Reduces to concatenating the sources and running one extraction;
-    the epsilons sum, and the output is sized from the sum of the keys'
+    the epsilons sum, the output's entropy kind is the join of the
+    keys', and the output is sized from the sum of the keys'
     min-entropies, or from the smallest one when reveals are allowed.
     """
-    if len(keys) < 2:
-        raise ValueError("need at least two keys")
-    if not seed_after_keys:
-        raise OrderingViolation(
-            "the public seed must be generated after all keys exist; "
-            "assert seed_after_keys=True")
-    combined_spec = keys[0][1]
-    input_bits = keys[0][0]
-    for bits, spec in keys[1:]:
-        if len(bits) != spec.length:
-            raise ValueError("key length disagrees with its spec")
-        combined_spec = concat_sources(combined_spec, spec, independent=True)
-        input_bits = input_bits + bits
-    if len(seed) != len(input_bits) - 1:
-        raise ValueError(f"seed must be {len(input_bits) - 1} bits")
-    kind = combined_spec.kind
-    report = public_seed_bound_many(
-        [spec.hmin for _, spec in keys], [spec.eps for _, spec in keys],
-        eps_seed, eps_hash, reveal_allowed, kind=kind)
-    length = _settle_length(report, requested_len, len(input_bits))
-    return _extract_combined(seed, input_bits, length, report, "mix", kind,
-                             [(spec, 0.0) for _, spec in keys])
+    kind = reduce(EntropyKind.combine, (spec.kind for _, spec in keys),
+                  EntropyKind.MIN)
+    return _combine_seeded([(bits, spec, 0.0) for bits, spec in keys], seed,
+                           eps_seed, eps_hash, reveal_allowed,
+                           seed_after_keys, (), kind, "mix", requested_len)
 
 
 def xor_vs_extractor_report(spec1: SourceSpec, spec2: SourceSpec,

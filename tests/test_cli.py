@@ -305,6 +305,21 @@ def test_combine_cli_oversize_requested_len_exits_2(tmp_path, capsys):
     assert "infeasible:" in capsys.readouterr().err
 
 
+def test_combine_private_refuses_a_transcript(tmp_path, capsys):
+    # private mode binds no transcript; it once exited 0 with the
+    # transcript dropped
+    rng = np.random.default_rng(69)
+    _write_bits(tmp_path / "k1.qbits", rng, 128)
+    _write_bits(tmp_path / "k2.qbits", rng, 127)
+    _write_spec(tmp_path / "k1.kv", "k1", 128, 128)
+    _write_spec(tmp_path / "k2.kv", "k2", 127, 127)
+    (tmp_path / "t.bin").write_bytes(b"context")
+    assert main(_combine_argv(tmp_path, "private", "--transcript",
+                              str(tmp_path / "t.bin"))) == 1
+    assert "error: private mode takes no transcript" \
+        in capsys.readouterr().err
+
+
 def test_combine_missing_ordering_flag_errors(tmp_path, capsys):
     rng = np.random.default_rng(66)
     _write_bits(tmp_path / "k1.qbits", rng, 128)

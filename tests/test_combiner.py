@@ -441,3 +441,151 @@ def test_prop_private_seed_and_input_are_the_alpha_slices(len1, len2,
     want_seed = BitString.from_str(k1[:a1] + k2[:a2])
     want_input = BitString.from_str(k1[a1:] + k2[a2:])
     assert seen == [(want_seed, want_input)]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", BitString.zeros(127)), ("transcript", b"context"),
+    ("eps_seed", SecurityLevel(40.0))])
+def test_private_combine_refuses_public_seed_material(name, value):
+    # these were once dropped without a word: a transcript the caller
+    # asked to bind came back unbound
+    rng = np.random.default_rng(50)
+    with pytest.raises(ValueError, match=f"private mode takes no {name}:"):
+        combine_private(_private_request(rng, **{name: value}))
+
+
+def test_public_combine_many_checks_every_key_and_the_seed():
+    # a 90-bit key declared as 100 bits was once credited 201 bits of
+    # entropy for a 191-bit input, and a missing seed reached len()
+    rng = np.random.default_rng(51)
+    short = BitString.from_u8(rng.integers(0, 2, 90, np.uint8))
+    keys = [(short, SourceSpec.secure("k1", 100, SecurityLevel.zero())),
+            _key(rng, 101, "k2")]
+    seed = BitString.from_u8(rng.integers(0, 2, 190, np.uint8))
+    with pytest.raises(ValueError, match="key1 length disagrees"):
+        combine_public_many(keys, seed, SecurityLevel.zero(), E32,
+                            seed_after_keys=True)
+    keys = [_key(rng, 90, "k1"), _key(rng, 101, "k2")]
+    with pytest.raises(ValueError, match="needs a seed"):
+        combine_public_many(keys, None, SecurityLevel.zero(), E32,
+                            seed_after_keys=True)
+
+
+def _every_mode(rng, **kwargs):
+    """One call per combiner on feasible full-entropy keys."""
+    private = _private_request(rng, **kwargs)
+    public = _public_request(rng, private.spec1, private.spec2, **kwargs)
+    keys = [(public.key1, public.spec1), (public.key2, public.spec2)]
+    return (lambda: combine_private(private),
+            lambda: combine_public(public),
+            lambda: combine_public_many(keys, public.seed,
+                                        SecurityLevel.zero(), E32,
+                                        seed_after_keys=True, **kwargs))
+
+
+@pytest.mark.parametrize("requested", [2.5, 3.0, math.nan, math.inf,
+                                       -math.inf, True])
+def test_requested_len_must_be_an_integer(requested):
+    # 2.5 once let a TypeError out of the kernel's shift, and True was
+    # taken as one bit with out_spec.length True
+    rng = np.random.default_rng(52)
+    for run in _every_mode(rng, requested_len=requested):
+        with pytest.raises(ValueError, match="requested_len must be an "
+                                             "integer"):
+            run()
+    # a numpy integer is one, where it once overflowed a C long
+    for run in _every_mode(rng, requested_len=np.int64(5)):
+        assert run().out_spec.length == 5
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except Infeasible as exc:
+        return "refused", exc.shortfall_bits, str(exc)
+    return (result.output, result.report, replace(result.out_spec, label=""),
+            result.residuals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 200), st.booleans(),
+       st.booleans(), st.sampled_from([ThreatCase.NO_REVEAL,
+                                       ThreatCase.REVEALED_KEY,
+                                       ThreatCase.CONTROLLED_KEY]),
+       st.integers(0, 2 ** 32))
+def test_prop_two_key_public_combine_matches_the_many_key_one(
+        len1, len2, hill1, hill2, threat, draw):
+    rng = np.random.default_rng(draw)
+
+    def key(length, hill, label):
+        bits = BitString.from_u8(rng.integers(0, 2, length, np.uint8))
+        if hill:
+            floor = float(rng.integers(0, length + 1))
+            return bits, model_pqc_key(length, SecurityLevel(40.0), floor)
+        return bits, SourceSpec.secure(label, length, SecurityLevel(48.0))
+
+    (key1, spec1), (key2, spec2) = key(len1, hill1, "k1"), key(len2, hill2,
+                                                               "k2")
+    seed = BitString.from_u8(rng.integers(0, 2, len1 + len2 - 1, np.uint8))
+    eps_seed, eps_hash = SecurityLevel(30.0), SecurityLevel(8.0)
+    req = CombineRequest(key1=key1, spec1=spec1, key2=key2, spec2=spec2,
+                         mode=CombineMode.PUBLIC_SEED, eps_hash=eps_hash,
+                         threat=threat, seed=seed, eps_seed=eps_seed,
+                         seed_after_keys=True)
+    assert _outcome(lambda: combine_public(req)) == _outcome(
+        lambda: combine_public_many(
+            [(key1, spec1), (key2, spec2)], seed, eps_seed, eps_hash,
+            reveal_allowed=threat is not ThreatCase.NO_REVEAL,
+            seed_after_keys=True))
+
+
+_AWKWARD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, 0.5, 2.5]),
+    st.integers(-2 ** 60, 2 ** 60),
+    st.integers(-8, 40).map(lambda n: n + 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(ThreatCase)), st.sampled_from([None, 1, 2]),
+       st.integers(1, 48), st.integers(1, 48), st.one_of(st.none(), _AWKWARD),
+       st.sampled_from([None, "lambda1", "lambda2", "len1", "len2"]),
+       _AWKWARD, st.integers(0, 2 ** 32))
+def test_prop_combiners_refuse_only_with_value_errors(
+        threat, revealed_key, len1, len2, requested_len, field, value, draw):
+    # requested_len and at most one other input are awkward, so most calls
+    # get far enough for the awkward value to reach the bound and the tail
+    fed = {"lambda1": 0.0, "lambda2": 0.0, "len1": len1, "len2": len2}
+    if field is not None:
+        fed[field] = value
+    rng = np.random.default_rng(draw)
+    key1 = BitString.from_u8(rng.integers(0, 2, len1, np.uint8))
+    key2 = BitString.from_u8(rng.integers(0, 2, len2, np.uint8))
+    seed = BitString.from_u8(rng.integers(0, 2, len1 + len2 - 1, np.uint8))
+    eps_hash = SecurityLevel(4.0)
+
+    def request(mode):
+        spec1 = SourceSpec.secure("k1", fed["len1"], SecurityLevel.zero())
+        spec2 = model_pqc_key(fed["len2"], SecurityLevel.zero())
+        return CombineRequest(
+            key1=key1, spec1=spec1, key2=key2, spec2=spec2, mode=mode,
+            eps_hash=eps_hash, threat=threat, lambda1=fed["lambda1"],
+            lambda2=fed["lambda2"], revealed_key=revealed_key,
+            seed=seed if mode is CombineMode.PUBLIC_SEED else None,
+            seed_after_keys=True, auto_truncate=True,
+            requested_len=requested_len)
+
+    def many():
+        req = request(CombineMode.PUBLIC_SEED)
+        return combine_public_many(
+            [(key1, req.spec1), (key2, req.spec2)], seed,
+            SecurityLevel.zero(), eps_hash,
+            reveal_allowed=revealed_key is not None, seed_after_keys=True,
+            requested_len=requested_len)
+
+    for run in (lambda: combine_private(request(CombineMode.PRIVATE_SEED)),
+                lambda: combine_public(request(CombineMode.PUBLIC_SEED)),
+                many):
+        try:
+            run()
+        except ValueError:
+            pass
