@@ -21,6 +21,7 @@ no secret zeroization.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
@@ -184,6 +185,17 @@ class BitString:
 
 
 # -- free-function operations -----------------------------------------------
+
+def is_bit_count(value) -> bool:
+    """Whether `value` can be a number of bits: a Python or numpy integer,
+    not a bool.
+
+    A float length fails late, as a TypeError in a shift, and `True`
+    passes for one bit; lengths checked here fail early instead.
+    """
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
 
 def _bitstring(value: int, length: int) -> BitString:
     """A BitString of `length` >= 0 bits holding `value`, range-checked.

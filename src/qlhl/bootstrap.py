@@ -14,6 +14,18 @@ q bits lowers hmin(X2) and |X2| by q alike, so q cancels). It is checked
 as hmin(X1) + hmin(X2) >= required_hmin(A + |X2|, eps), and a refusal
 carries the difference as its shortfall.
 
+Plan and run. `plan_bootstrap` does everything that depends on public
+parameters alone: the checks, the entropy budget, the hash shape and,
+on first use, the output's descriptor (`BootstrapPlan.out_spec`). It
+keeps the plans of its last _PLAN_MEMO (64) argument sets, keyed on the
+source descriptors, out_len, eps_hash and the independence flag, each
+by value and by type, so 10.0 never finds the plan made for 10. A plan
+holds no sample bits. A refusal is not kept: each refused call plans
+again and raises a fresh exception. An argument that cannot be hashed,
+such as a 0-d numpy array, is planned afresh on every call.
+`run_bootstrap` does the per-call work: it checks the two samples'
+lengths, trims X2 and extracts.
+
 `WeakSourceSim` provides deterministic toy sources for tests: flat
 sources uniform over a 2**k subset, biased iid bits, or an explicit
 injected distribution.
@@ -22,17 +34,21 @@ injected distribution.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bits import BitString, truncate
+from .bits import BitString, is_bit_count, truncate
 from .bounds import required_hmin
 from .ledger import (EntropyKind, SecurityLevel, SourceSpec, eps_sum,
                      truncate_source)
 from .toeplitz import ExtractorParams, SeededHash, extract_fast
+
+# argument sets whose BootstrapPlan `plan_bootstrap` keeps
+_PLAN_MEMO = 64
 
 
 class Infeasible(ValueError):
@@ -169,6 +185,9 @@ class BootstrapPlan:
         eps_hash: closeness parameter of the extraction.
         q: bits trimmed off the tail of X2 so |X2| - q = |X1| - 1.
         params: the resulting hash shape.
+
+    `out_spec`, the output's descriptor, is built once per plan, on first
+    use (a dataclass field would enter eq, repr and `replace`).
     """
 
     x1_spec: SourceSpec
@@ -188,6 +207,16 @@ class BootstrapPlan:
         """Realized |X2| / |X1| before truncation (advisory)."""
         return self.x2_spec.length / self.x1_spec.length
 
+    @functools.cached_property
+    def out_spec(self) -> SourceSpec:
+        """A secure-source descriptor of the output, carrying the summed
+        epsilons and the joined kind."""
+        return SourceSpec(
+            label=f"boot({self.x1_spec.label},{self.x2_spec.label})",
+            length=self.out_len, hmin=self.out_len,
+            eps=eps_sum((self.x1_spec.eps, self.x2_spec.eps, self.eps_hash)),
+            kind=self.x1_spec.kind.combine(self.x2_spec.kind))
+
 
 def plan_bootstrap(x1: SourceSpec, x2: SourceSpec, out_len: int,
                    eps_hash: SecurityLevel, *,
@@ -203,12 +232,30 @@ def plan_bootstrap(x1: SourceSpec, x2: SourceSpec, out_len: int,
             conditionally independent given the adversary.
 
     Returns:
-        A feasible BootstrapPlan.
+        A feasible BootstrapPlan, shared by every call with equal
+        arguments of equal types among the last _PLAN_MEMO.
 
     Raises:
+        ValueError: out_len is not an integer (checked first), or is
+            below 1 or above |x1|; independence is not asserted.
         InsufficientSeedMaterial: if |x2| < |x1| - 1.
         Infeasible: if the entropy budget falls short (carries the gap).
     """
+    public = (x1, x2, out_len, eps_hash, independent)
+    try:
+        return _plan_bootstrap(*public)
+    except TypeError:   # an argument the memo cannot hash is planned afresh
+        return _plan_bootstrap.__wrapped__(*public)
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO, typed=True)
+def _plan_bootstrap(x1: SourceSpec, x2: SourceSpec, out_len: int,
+                    eps_hash: SecurityLevel,
+                    independent: bool) -> BootstrapPlan:
+    """`plan_bootstrap`'s plan of its arguments."""
+    if not is_bit_count(out_len):
+        raise ValueError(f"out_len must be an integer number of bits, got "
+                         f"{out_len!r}")
     if not independent:
         raise ValueError("bootstrap requires conditionally independent "
                          "sources; pass independent=True to assert")
@@ -239,8 +286,7 @@ def run_bootstrap(plan: BootstrapPlan, x1_bits: BitString,
     """Execute a plan on concrete samples.
 
     Returns:
-        (output, out_spec): the extracted bits and a secure-source
-        descriptor carrying the summed epsilons and joined kind.
+        (output, out_spec): the extracted bits and the plan's `out_spec`.
     """
     if len(x1_bits) != plan.x1_spec.length:
         raise ValueError(f"x1 must be {plan.x1_spec.length} bits, "
@@ -250,12 +296,7 @@ def run_bootstrap(plan: BootstrapPlan, x1_bits: BitString,
                          f"got {len(x2_bits)}")
     seed = truncate(x2_bits, plan.q)
     output = extract_fast(SeededHash(plan.params, seed), x1_bits)
-    out_spec = SourceSpec(
-        label=f"boot({plan.x1_spec.label},{plan.x2_spec.label})",
-        length=plan.out_len, hmin=plan.out_len,
-        eps=eps_sum((plan.x1_spec.eps, plan.x2_spec.eps, plan.eps_hash)),
-        kind=plan.x1_spec.kind.combine(plan.x2_spec.kind))
-    return output, out_spec
+    return output, plan.out_spec
 
 
 def plan_to_kv_dict(plan: BootstrapPlan) -> dict:

@@ -34,6 +34,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .ledger import EntropyKind, SecurityLevel, eps_sum
@@ -75,7 +76,9 @@ class BoundReport:
         kind: weakest entropy notion the guarantee rests on.
         terms: labeled additive breakdown: hmin_input + seed_penalty -
             hash_penalty_bits + constant_2 equals the unfloored
-            `raw_value`; other labels are diagnostics.
+            `raw_value`; other labels are diagnostics. It is a read-only
+            mapping: the combiners hand one report to every call with
+            the same public parameters.
     """
 
     max_output_len: int
@@ -118,7 +121,8 @@ def _bound(entropy: float, seed_term: float, eps_hash: SecurityLevel,
     terms["raw_value"] = raw
     feasible = floored >= 0 and not force_infeasible
     return BoundReport(max_output_len=max(floored, -1), feasible=feasible,
-                       out_eps=out_eps, kind=kind, terms=terms)
+                       out_eps=out_eps, kind=kind,
+                       terms=MappingProxyType(terms))
 
 
 def qlhl_basic(hmin_input: Number, eps_smooth: SecurityLevel,

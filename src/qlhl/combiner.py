@@ -15,8 +15,34 @@ into seed and input. `combine_public` (two keys, a threat case, an
 optional transcript) and `combine_public_many` (any number of keys)
 only map their arguments onto one public-seed core, which asserts the
 seed ordering, checks the keys and the seed, and runs the public-seed
-bound. Every mode ends in the same tail, which checks `requested_len`,
-settles the output length and extracts.
+bound. Every mode ends in the same tail: `_settle` checks
+`requested_len` and settles the output length, and `_run` extracts.
+
+Plan and run. Each mode is split into a plan, everything that depends
+on public parameters alone, and a run, the per-call work on secret bits.
+The plan holds the refusals that parameters decide, the bound report,
+the settled length, the hash shape, the output's descriptor and the
+residuals, and, in private mode, whether key2 drops a bit and where
+the keys split. Each mode keeps the plans of its last _PLAN_MEMO (64)
+parameter sets in a `functools.lru_cache`, every argument keyed by
+value and by type, so a requested_len of 2.0 never finds the plan made
+for 2:
+
+- private: the two specs, the threat case, revealed_key, eps_hash, the
+  two lambdas, auto_truncate and requested_len;
+- public seed: the specs, the residual targets, the reveal caps,
+  eps_seed, eps_hash, whether reveals are allowed, the output kind, the
+  label, requested_len and the input length, which covers a transcript's
+  length but not its bytes.
+
+A plan holds nothing secret: no key, seed, transcript or output bits. A
+refusal is not kept: each refused call plans again and raises a fresh
+exception. An argument that cannot be hashed, such as a 0-d numpy
+array, is planned afresh on every call. The run checks what the bits
+decide, every key against its spec and the seed against the joined
+input, then slices and joins the keys, extracts and builds a result
+around the plan's shared report and descriptor, with its own residuals
+dict.
 
 Only `combine_public` binds a transcript: its bytes follow the keys in
 the input and carry no entropy. The refusals:
@@ -41,13 +67,12 @@ and the other key are known.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import numbers
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
-from .bits import BitString, concat, concat_all, truncate, xor
+from .bits import BitString, concat, concat_all, is_bit_count, truncate, xor
 from .bootstrap import Infeasible
 from .bounds import (BoundReport, ThreatCase, combine_case_bound,
                      public_seed_bound_many)
@@ -56,6 +81,9 @@ from .bounds import alpha_partition  # noqa: F401
 from .ledger import concat_sources  # noqa: F401
 from .ledger import EntropyKind, SecurityLevel, SourceSpec, truncate_source
 from .toeplitz import ExtractorParams, SeededHash, extract_fast
+
+# parameter sets whose plan each mode keeps
+_PLAN_MEMO = 64
 
 
 class OrderingViolation(ValueError):
@@ -192,8 +220,8 @@ def _bound_name(report: BoundReport) -> str:
 
 def _binding_limit(report: BoundReport, input_len: int,
                    caps: Sequence[float]) -> tuple[str, float]:
-    """Name and unfloored value of the smallest of `_settle_and_extract`'s
-    limits, the first one on a tie; only refusals ask."""
+    """Name and unfloored value of the smallest of `_settle`'s limits,
+    the first one on a tie; only refusals ask."""
     limits = [(report.max_output_len, _bound_name(report),
                report.terms["raw_value"]),
               (input_len, "the input length", input_len)]
@@ -203,12 +231,19 @@ def _binding_limit(report: BoundReport, input_len: int,
     return name, value
 
 
-def _settle_and_extract(seed: BitString, input_bits: BitString,
-                        report: BoundReport, requested: Optional[int],
-                        caps: Sequence[float], label: str, kind: EntropyKind,
-                        keys: Sequence[tuple[BitString, SourceSpec, float]]
-                        ) -> CombineResult:
-    """Settle the output length, extract it and describe the result.
+class _Plan(NamedTuple):
+    """The public part of one combine: what its parameters alone decide."""
+
+    report: BoundReport
+    params: ExtractorParams
+    out_spec: SourceSpec
+    residuals: dict     # never handed out: each result gets a copy
+
+
+def _settle(report: BoundReport, requested: Optional[int], input_len: int,
+            caps: Sequence[float], label: str, kind: EntropyKind,
+            specs: Sequence[SourceSpec], targets: Sequence[float]) -> _Plan:
+    """Settle the output length and describe the output.
 
     The length is the bound's, the input's and every cap's limit,
     floored, or `requested` below that. `caps` are the keys' reveal
@@ -216,19 +251,17 @@ def _settle_and_extract(seed: BitString, input_bits: BitString,
     tightest limit before the floor, so a cap of 0.5 bits falls 0.5
     short of one bit; its message names that limit and gives its
     unfloored value (the bound's raw value). The output is described as
-    a fully secure source, with what each key of `keys` (bits, spec,
-    residual target), named key1, key2, ..., retains once it is
-    published.
+    a fully secure source, with what each key of `specs`, named key1,
+    key2, ..., retains once it is published against its residual target
+    in `targets`.
     """
-    if requested is not None and (isinstance(requested, bool) or not
-                                  isinstance(requested, numbers.Integral)):
+    if requested is not None and not is_bit_count(requested):
         raise ValueError(f"requested_len must be an integer number of "
                          f"bits, got {requested!r}")
     if not report.feasible:
         raise Infeasible(max(0.0, -report.terms["raw_value"]),
                          f"combination infeasible: {_bound_name(report)} "
                          f"allows {report.max_output_len} bits")
-    input_len = len(input_bits)
     limit = min(report.max_output_len, input_len, *caps)
     length = math.floor(limit)
     if requested is not None:
@@ -244,16 +277,59 @@ def _settle_and_extract(seed: BitString, input_bits: BitString,
             else _binding_limit(report, input_len, caps)
         raise Infeasible(1.0 - limit, f"no extractable bits under {name} "
                                       f"({value:g} bits)")
-    params = ExtractorParams.modified(input_len, length)
-    output = extract_fast(SeededHash(params, seed), input_bits)
-    # a loop, not a comprehension, which on CPython 3.11 is one more call:
-    # about 1 us of a 25-45 us combine of 300-bit keys
     residuals = {}
-    for i, (_, spec, target) in enumerate(keys, 1):
+    for i, (spec, target) in enumerate(zip(specs, targets), 1):
         residuals[f"key{i}"] = residual_after_reveal(spec, length, target)
-    return CombineResult(
-        output=output, report=report, residuals=residuals,
-        out_spec=SourceSpec(label, length, length, report.out_eps, kind))
+    return _Plan(report, ExtractorParams.modified(input_len, length),
+                 SourceSpec(label, length, length, report.out_eps, kind),
+                 residuals)
+
+
+def _run(plan: _Plan, seed: BitString, input_bits: BitString
+         ) -> CombineResult:
+    """Extract the planned output; the result gets its own residuals."""
+    output = extract_fast(SeededHash(plan.params, seed), input_bits)
+    return CombineResult(output=output, out_spec=plan.out_spec,
+                         report=plan.report, residuals=plan.residuals.copy())
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO, typed=True)
+def _private_plan(spec1: SourceSpec, spec2: SourceSpec, threat: ThreatCase,
+                  revealed_key: Optional[int], eps_hash: SecurityLevel,
+                  lambda1: float, lambda2: float, auto_truncate: bool,
+                  requested_len: Optional[int]
+                  ) -> tuple[bool, int, int, _Plan]:
+    """`combine_private`'s plan: whether key2 drops its last bit, the
+    lengths a1 and a2 that key1 and key2 give the seed, and the output.
+
+    The odd total splits as in alpha_partition, seed_len = input_len - 1,
+    with a1 = floor(alpha * |key1|) for alpha = (total - 1) / (2 * total).
+    """
+    deficit = (spec1.length - spec1.hmin) + (spec2.length - spec2.hmin)
+    if deficit > 0:
+        raise Infeasible(deficit, f"private-seed combining needs "
+                         f"full-entropy keys; {deficit:g} bits of min-entropy "
+                         f"are missing")
+    drop = (spec1.length + spec2.length) % 2 == 0
+    if drop:
+        if not auto_truncate:
+            raise ValueError(
+                "total key length is even; the balanced split needs an odd "
+                "total - pass auto_truncate=True to drop one bit of key2")
+        spec2 = truncate_source(spec2, 1)
+    total = spec1.length + spec2.length
+    if total < 2:
+        raise ValueError("need at least 2 bits of key material")
+    input_len = (total + 1) // 2
+    a1 = (total - 1) * spec1.length // (2 * total)
+    kind = _output_kind(spec1, spec2, threat, revealed_key)
+    report = combine_case_bound(threat, spec1.length, spec2.length,
+                                spec1.eps, spec2.eps, eps_hash,
+                                lambda1, lambda2, kind=kind)
+    return drop, a1, input_len - 1 - a1, _settle(
+        report, requested_len, input_len, (),
+        f"mix({spec1.label},{spec2.label})", kind, (spec1, spec2),
+        (lambda1, lambda2))
 
 
 def combine_private(req: CombineRequest) -> CombineResult:
@@ -283,54 +359,47 @@ def combine_private(req: CombineRequest) -> CombineResult:
             raise ValueError(f"private mode takes no {name}: its seed comes "
                              f"from the keys and it binds no transcript; "
                              f"use public mode")
-    key1, spec1 = req.key1, req.spec1
-    key2, spec2 = req.key2, req.spec2
-    deficit = (spec1.length - spec1.hmin) + (spec2.length - spec2.hmin)
-    if deficit > 0:
-        raise Infeasible(deficit, f"private-seed combining needs "
-                         f"full-entropy keys; {deficit:g} bits of min-entropy "
-                         f"are missing")
-    if (spec1.length + spec2.length) % 2 == 0:
-        if not req.auto_truncate:
-            raise ValueError(
-                "total key length is even; the balanced split needs an odd "
-                "total - pass auto_truncate=True to drop one bit of key2")
+    public = (req.spec1, req.spec2, req.threat, req.revealed_key,
+              req.eps_hash, req.lambda1, req.lambda2, req.auto_truncate,
+              req.requested_len)
+    try:
+        drop, a1, a2, plan = _private_plan(*public)
+    except TypeError:   # an argument the memo cannot hash is planned afresh
+        drop, a1, a2, plan = _private_plan.__wrapped__(*public)
+    key1, key2 = req.key1, req.key2
+    if drop:
         key2 = truncate(key2, 1)
-        spec2 = truncate_source(spec2, 1)
-    # the odd total splits as in alpha_partition, seed_len = input_len - 1,
-    # with a1 = floor(alpha * |key1|) for alpha = (total - 1) / (2 * total)
-    total = spec1.length + spec2.length
-    if total < 2:
-        raise ValueError("need at least 2 bits of key material")
-    input_len = (total + 1) // 2
-    a1 = (total - 1) * spec1.length // (2 * total)
-    a2 = input_len - 1 - a1
-    seed = concat(key1[:a1], key2[:a2])
-    input_bits = concat(key1[a1:], key2[a2:])
-    kind = _output_kind(spec1, spec2, req.threat, req.revealed_key)
-    report = combine_case_bound(req.threat, spec1.length, spec2.length,
-                                spec1.eps, spec2.eps, req.eps_hash,
-                                req.lambda1, req.lambda2, kind=kind)
-    return _settle_and_extract(seed, input_bits, report, req.requested_len,
-                               (), f"mix({spec1.label},{spec2.label})", kind,
-                               [(key1, spec1, req.lambda1),
-                                (key2, spec2, req.lambda2)])
+    return _run(plan, concat(key1[:a1], key2[:a2]),
+                concat(key1[a1:], key2[a2:]))
 
 
-def _combine_seeded(keys: Sequence[tuple[BitString, SourceSpec, float]],
+@functools.lru_cache(maxsize=_PLAN_MEMO, typed=True)
+def _seeded_plan(specs: tuple, targets: tuple, caps: tuple,
+                 eps_seed: SecurityLevel, eps_hash: SecurityLevel,
+                 reveal_allowed: bool, kind: EntropyKind, label: str,
+                 requested_len: Optional[int], input_len: int) -> _Plan:
+    """`_combine_seeded`'s plan: the public-seed bound and the output."""
+    report = public_seed_bound_many(
+        [spec.hmin for spec in specs], [spec.eps for spec in specs],
+        eps_seed, eps_hash, reveal_allowed, kind=kind)
+    return _settle(report, requested_len, input_len, caps, label, kind,
+                   specs, targets)
+
+
+def _combine_seeded(keys: Sequence[BitString], specs: tuple, targets: tuple,
                     seed: Optional[BitString], eps_seed: SecurityLevel,
                     eps_hash: SecurityLevel, reveal_allowed: bool,
-                    seed_after_keys: bool, caps: Sequence[float],
-                    kind: EntropyKind, label: str,
-                    requested_len: Optional[int],
+                    seed_after_keys: bool, caps: tuple, kind: EntropyKind,
+                    label: str, requested_len: Optional[int],
                     transcript: Optional[bytes] = None) -> CombineResult:
     """The public-seed construction behind both public front ends.
 
-    `keys` are (bits, spec, residual target) triples. The input is the
-    keys in order, then the transcript if given, and the seed must have
-    exactly input length minus one bits. The output is sized from the
-    keys' min-entropies: their sum, or the smallest one when reveals
-    are allowed.
+    `keys` are the key bits, `specs` their descriptors and `targets`
+    their residual targets, in key order. The input is the keys in
+    order, then the transcript if given, and the seed must have exactly
+    input length minus one bits. The output is sized from the keys'
+    min-entropies: their sum, or the smallest one when reveals are
+    allowed.
     """
     if len(keys) < 2:
         raise ValueError("need at least two keys")
@@ -340,22 +409,22 @@ def _combine_seeded(keys: Sequence[tuple[BitString, SourceSpec, float]],
             "assert seed_after_keys=True")
     if seed is None:
         raise ValueError("public mode needs a seed")
-    parts = []
-    for i, (bits, spec, _) in enumerate(keys, 1):
+    for i, (bits, spec) in enumerate(zip(keys, specs), 1):
         if len(bits) != spec.length:
             raise ValueError(f"key{i} length disagrees with its spec")
-        parts.append(bits)
     if transcript is not None:
-        parts.append(BitString.from_bytes(transcript))
-    input_bits = concat_all(parts)
+        keys = (*keys, BitString.from_bytes(transcript))
+    input_bits = concat_all(keys)
     if len(seed) != len(input_bits) - 1:
         raise ValueError(f"seed must be {len(input_bits) - 1} bits for a "
                          f"{len(input_bits)}-bit input, got {len(seed)}")
-    report = public_seed_bound_many(
-        [spec.hmin for _, spec, _ in keys], [spec.eps for _, spec, _ in keys],
-        eps_seed, eps_hash, reveal_allowed, kind=kind)
-    return _settle_and_extract(seed, input_bits, report, requested_len, caps,
-                               label, kind, keys)
+    public = (specs, targets, caps, eps_seed, eps_hash, reveal_allowed, kind,
+              label, requested_len, len(input_bits))
+    try:
+        plan = _seeded_plan(*public)
+    except TypeError:   # an argument the memo cannot hash is planned afresh
+        plan = _seeded_plan.__wrapped__(*public)
+    return _run(plan, seed, input_bits)
 
 
 _REVEAL_ALLOWING_CASES = (ThreatCase.CONTROLLED_KEY, ThreatCase.REVEALED_KEY,
@@ -385,7 +454,7 @@ def combine_public(req: CombineRequest) -> CombineResult:
                       ThreatCase.REVEAL_OUTPUT_AND_KEY):
         caps = (spec1.hmin - req.lambda1, spec2.hmin - req.lambda2)
     return _combine_seeded(
-        [(req.key1, spec1, req.lambda1), (req.key2, spec2, req.lambda2)],
+        (req.key1, req.key2), (spec1, spec2), (req.lambda1, req.lambda2),
         req.seed, req.eps_seed, req.eps_hash,
         req.threat in _REVEAL_ALLOWING_CASES, req.seed_after_keys, caps,
         _output_kind(spec1, spec2, req.threat, req.revealed_key),
@@ -407,11 +476,13 @@ def combine_public_many(keys: Sequence[tuple[BitString, SourceSpec]],
     keys', and the output is sized from the sum of the keys'
     min-entropies, or from the smallest one when reveals are allowed.
     """
-    kind = reduce(EntropyKind.combine, (spec.kind for _, spec in keys),
-                  EntropyKind.MIN)
-    return _combine_seeded([(bits, spec, 0.0) for bits, spec in keys], seed,
-                           eps_seed, eps_hash, reveal_allowed,
-                           seed_after_keys, (), kind, "mix", requested_len)
+    specs = tuple(spec for _, spec in keys)
+    kind = functools.reduce(EntropyKind.combine,
+                            (spec.kind for spec in specs), EntropyKind.MIN)
+    return _combine_seeded([bits for bits, _ in keys], specs,
+                           (0.0,) * len(specs), seed, eps_seed, eps_hash,
+                           reveal_allowed, seed_after_keys, (), kind, "mix",
+                           requested_len)
 
 
 def xor_vs_extractor_report(spec1: SourceSpec, spec2: SourceSpec,

@@ -37,6 +37,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .bits import is_bit_count
+
 
 class IndependenceError(ValueError):
     """Raised when sources are combined without an independence assertion."""
@@ -165,7 +167,8 @@ class SourceSpec:
     """Descriptor of a (length, hmin)-source with smoothing eps and kind.
 
     A fully secure source is exactly the case hmin == length, with eps its
-    closeness to uniform-and-independent of the adversary.
+    closeness to uniform-and-independent of the adversary. The length is
+    an integer (a Python or numpy int, not a bool).
     """
 
     label: str
@@ -175,6 +178,9 @@ class SourceSpec:
     kind: EntropyKind = EntropyKind.MIN
 
     def __post_init__(self):
+        if not is_bit_count(self.length):
+            raise ValueError(f"length must be an integer number of bits, "
+                             f"got {self.length!r}")
         if self.length < 0:
             raise ValueError("length must be >= 0")
         if not 0 <= self.hmin <= self.length:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .bits import BitString, _bitstring
+from .bits import BitString, _bitstring, is_bit_count
 
 
 class Family(enum.Enum):
@@ -55,6 +55,8 @@ class ExtractorParams:
         family: which Toeplitz construction to use.
         input_len: n, the number of input bits.
         output_len: m, the number of output bits.
+
+    Both widths are integers (a Python or numpy int, not a bool).
     """
 
     family: Family
@@ -62,6 +64,11 @@ class ExtractorParams:
     output_len: int
 
     def __post_init__(self) -> None:
+        if not (is_bit_count(self.input_len)
+                and is_bit_count(self.output_len)):
+            raise ValueError(f"widths must be integer numbers of bits, got "
+                             f"input_len={self.input_len!r}, "
+                             f"output_len={self.output_len!r}")
         if self.input_len < 1:
             raise ValueError("input_len must be >= 1")
         if self.output_len < 1:

@@ -92,6 +92,26 @@ def test_plan_requires_independence_assertion():
                        SecurityLevel(1.0), independent=False)
 
 
+@pytest.mark.parametrize("out_len", [10.0, 2.5, math.nan, True])
+def test_plan_refuses_out_len_that_is_not_an_integer_first(out_len):
+    # 10.0, 2.5 and NaN once planned and then raised TypeError in the
+    # kernel (NaN passed the entropy check), and True gave a 1-bit output
+    # whose out_spec.length was True
+    enough = (_spec("x1", 64, 64), _spec("x2", 70, 70))
+    short_seed = (_spec("x1", 64, 64), _spec("x2", 10, 10))
+    for x1, x2, independent in ((*enough, True), (*enough, False),
+                                (*short_seed, True)):
+        with pytest.raises(ValueError, match="out_len must be an integer"):
+            plan_bootstrap(x1, x2, out_len, SecurityLevel(1.0),
+                           independent=independent)
+
+
+def test_plan_takes_a_numpy_integer_out_len():
+    plan = plan_bootstrap(_spec("x1", 64, 64), _spec("x2", 70, 70),
+                          np.int64(10), SecurityLevel(1.0))
+    assert plan.out_spec.length == 10
+
+
 def test_plan_kv_round_trip():
     plan = plan_bootstrap(_spec("x1", 512, 400), _spec("x2", 600, 500),
                           out_len=64, eps_hash=SecurityLevel(32.0))

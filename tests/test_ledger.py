@@ -3,6 +3,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +89,22 @@ def test_source_spec_validation():
         SourceSpec("x", -1, 0.0, SecurityLevel.zero())
     spec = SourceSpec.secure("k", 16, SecurityLevel(32.0))
     assert spec.is_secure and spec.hmin == 16.0
+
+
+@pytest.mark.parametrize("length", [True, False, 2.5, 3.0, math.inf,
+                                    math.nan])
+def test_source_spec_refuses_a_length_that_is_not_an_integer(length):
+    # True once built a 1-bit spec whose length hashed and compared equal
+    # to 1, and 2.5 and inf passed the range check
+    with pytest.raises(ValueError, match="length must be an integer"):
+        SourceSpec("x", length, 0.0, SecurityLevel.zero())
+    with pytest.raises(ValueError, match="length must be an integer"):
+        SourceSpec.secure("x", length, SecurityLevel.zero())
+
+
+def test_source_spec_takes_numpy_integer_lengths():
+    assert SourceSpec.secure("x", np.int64(12), SecurityLevel.zero()) == \
+        SourceSpec.secure("x", 12, SecurityLevel.zero())
 
 
 def test_concat_requires_independence_assertion():

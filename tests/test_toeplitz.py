@@ -28,6 +28,20 @@ def test_params_validation():
     assert ExtractorParams.modified(8, 3).with_output_len(5).output_len == 5
 
 
+@pytest.mark.parametrize("n, m", [(8.0, 3), (8, 3.0), (8, 2.5), (8, True),
+                                  (True, 1), (float("nan"), 3)])
+def test_params_refuse_widths_that_are_not_integers(n, m):
+    with pytest.raises(ValueError, match="integer numbers of bits"):
+        ExtractorParams.modified(n, m)
+    with pytest.raises(ValueError, match="integer numbers of bits"):
+        ExtractorParams.regular(n, m)
+
+
+def test_params_take_numpy_integer_widths():
+    params = ExtractorParams.modified(np.int64(8), np.int32(3))
+    assert params.seed_len == 7
+
+
 def test_seed_lengths_by_family():
     assert ExtractorParams.modified(10, 4).seed_len == 9
     assert ExtractorParams.regular(10, 4).seed_len == 13
