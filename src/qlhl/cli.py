@@ -6,7 +6,9 @@ any other error including argument problems.
 
 Epsilon arguments accept "2^-N" (N may be fractional) or a decimal in
 [0, 1]; "0" means a perfect, zero-failure term. Every subcommand takes
-`--report PATH` to write its result as a flat key-value document. Those
+`--report PATH` to write its result as a flat key-value document; the
+report is written whenever a command returns a result (exit 0, 1 or 2)
+and never when it stops with an error. Those
 with details to show (extract, bound, bootstrap plan, combine, budget,
 handshake simulate) take `--verbose` to print term breakdowns or debug
 dumps on stderr. `handshake simulate`, the one command that draws
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -75,32 +78,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_report(args: argparse.Namespace, doc: dict) -> None:
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(kv_format(doc))
-
-
-def _emit_bound(args: argparse.Namespace, report: BoundReport) -> int:
+def _emit_bound(args: argparse.Namespace,
+                report: BoundReport) -> tuple[int, dict]:
     print(report.max_output_len)
     if args.verbose:
-        for key, val in report.terms.items():
-            print(f"{key}: {val}", file=sys.stderr)
+        print(kv_format(report.terms), end="", file=sys.stderr)
         print(f"out_eps: {report.out_eps}", file=sys.stderr)
         print(f"feasible: {str(report.feasible).lower()}", file=sys.stderr)
-    _write_report(args, report_to_kv_dict(report))
-    return 0 if report.feasible else 2
+    return 0 if report.feasible else 2, report_to_kv_dict(report)
 
 
 def _read_spec(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return source_from_kv(fh.read())
+    return source_from_kv(Path(path).read_text(encoding="utf-8"))
 
 
 # -- subcommand handlers -----------------------------------------------------
+# Each returns (exit code, result document); main writes the document to
+# --report.
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
+def _cmd_extract(args: argparse.Namespace) -> tuple[int, dict]:
     x = read_qbits(args.infile)
     seed = read_qbits(args.seed)
     params = ExtractorParams(_FAMILY_NAMES[args.family], len(x), args.m)
@@ -116,52 +113,50 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.out:
         write_qbits(args.out, out)
     print(out.to01())
-    _write_report(args, {
+    return 0, {
         "family": args.family, "input_len": len(x), "output_len": args.m,
         "seed_len": params.seed_len, "backend":
             "reference" if args.naive else _kernels.backend(),
         "output_bits": out.to01(),
-    })
-    return 0
+    }
 
 
-def _cmd_bound_qlhl(args: argparse.Namespace) -> int:
+def _cmd_bound_qlhl(args: argparse.Namespace) -> tuple[int, dict]:
     return _emit_bound(args, qlhl_basic(args.hmin, args.eps_smooth, args.eps))
 
 
-def _cmd_bound_weak_seed(args: argparse.Namespace) -> int:
+def _cmd_bound_weak_seed(args: argparse.Namespace) -> tuple[int, dict]:
     return _emit_bound(args, qlhl_weak_seed_penalized(
         args.hmin, args.eps_smooth, args.seed_len, args.hmin_seed, args.eps))
 
 
-def _cmd_bound_general(args: argparse.Namespace) -> int:
+def _cmd_bound_general(args: argparse.Namespace) -> tuple[int, dict]:
     return _emit_bound(args, qlhl_general(
         args.hmin, args.eps_input, args.hmin_seed, args.eps_seed,
         args.seed_len, args.eps))
 
 
-def _cmd_bound_case(args: argparse.Namespace) -> int:
+def _cmd_bound_case(args: argparse.Namespace) -> tuple[int, dict]:
     return _emit_bound(args, combine_case_bound(
         _THREAT_NAMES[args.case], args.len1, args.len2, args.eps1, args.eps2,
         args.eps, args.lambda1, args.lambda2))
 
 
-def _cmd_bound_public(args: argparse.Namespace) -> int:
+def _cmd_bound_public(args: argparse.Namespace) -> tuple[int, dict]:
     return _emit_bound(args, public_seed_bound(
         args.len1, args.len2, args.eps1, args.eps2, args.eps_seed, args.eps,
         args.reveal_allowed))
 
 
-def _cmd_alpha(args: argparse.Namespace) -> int:
+def _cmd_alpha(args: argparse.Namespace) -> tuple[int, dict]:
     part = alpha_partition(args.len1, args.len2)
     doc = {"alpha": str(part.alpha), "seed_len": part.seed_len,
            "input_len": part.input_len}
     print(kv_format(doc), end="")
-    _write_report(args, doc)
-    return 0
+    return 0, doc
 
 
-def _cmd_bootstrap_plan(args: argparse.Namespace) -> int:
+def _cmd_bootstrap_plan(args: argparse.Namespace) -> tuple[int, dict]:
     x1 = _read_spec(args.x1)
     x2 = _read_spec(args.x2)
     swapped = False
@@ -175,19 +170,16 @@ def _cmd_bootstrap_plan(args: argparse.Namespace) -> int:
     doc["roles_swapped"] = "true" if swapped else "false"
     text = kv_format(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="")
     if args.verbose:
         print(f"seed_to_input_ratio: {plan.seed_to_input_ratio:g}",
               file=sys.stderr)
-    _write_report(args, doc)
-    return 0
+    return 0, doc
 
 
-def _cmd_bootstrap_run(args: argparse.Namespace) -> int:
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        doc = kv_parse(fh.read())
+def _cmd_bootstrap_run(args: argparse.Namespace) -> tuple[int, dict]:
+    doc = kv_parse(Path(args.plan).read_text(encoding="utf-8"))
     plan = plan_from_kv_dict(doc)
     x1 = read_qbits(args.x1_bits)
     x2 = read_qbits(args.x2_bits)
@@ -199,23 +191,18 @@ def _cmd_bootstrap_run(args: argparse.Namespace) -> int:
               "neg_log2_eps": out_spec.eps.neg_log2,
               "kind": out_spec.kind.value}
     print(kv_format(result), end="")
-    _write_report(args, result)
-    return 0
+    return 0, result
 
 
-def _cmd_combine(args: argparse.Namespace) -> int:
+def _cmd_combine(args: argparse.Namespace) -> tuple[int, dict]:
     key1 = read_qbits(args.key1)
     key2 = read_qbits(args.key2)
     spec1 = _read_spec(args.spec1)
     spec2 = _read_spec(args.spec2)
     mode = CombineMode(args.mode)
-    seed: Optional[BitString] = None
-    if args.seed:
-        seed = read_qbits(args.seed)
-    transcript: Optional[bytes] = None
-    if args.transcript:
-        with open(args.transcript, "rb") as fh:
-            transcript = fh.read()
+    seed = read_qbits(args.seed) if args.seed else None
+    transcript = (Path(args.transcript).read_bytes() if args.transcript
+                  else None)
     req = CombineRequest(
         key1=key1, spec1=spec1, key2=key2, spec2=spec2, mode=mode,
         eps_hash=args.eps, threat=_THREAT_NAMES[args.threat],
@@ -236,16 +223,13 @@ def _cmd_combine(args: argparse.Namespace) -> int:
         doc[f"{name}_lambda_satisfied"] = str(res.satisfied).lower()
     print(len(result.output))
     if args.verbose:
-        for key, val in doc.items():
-            print(f"{key}: {val}", file=sys.stderr)
-    _write_report(args, doc)
-    return 0
+        print(kv_format(doc), end="", file=sys.stderr)
+    return 0, doc
 
 
-def _cmd_budget(args: argparse.Namespace) -> int:
-    lengths = None
-    if args.lengths:
-        lengths = [int(v) for v in args.lengths.split(",")]
+def _cmd_budget(args: argparse.Namespace) -> tuple[int, dict]:
+    lengths = ([int(v) for v in args.lengths.split(",")] if args.lengths
+               else None)
     params = budget(args.n, args.eps, lengths)
     print(params.qkd_budget)
     doc = {"qkd_budget_bits": params.qkd_budget, "k1": params.k1,
@@ -255,20 +239,18 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     for name, length in zip(KEY_NAMES, params.per_key_lengths):
         doc[f"len_{name}"] = length
     if args.verbose:
-        for key, val in doc.items():
-            print(f"{key}: {val}", file=sys.stderr)
-    _write_report(args, doc)
-    return 0
+        print(kv_format(doc), end="", file=sys.stderr)
+    return 0, doc
 
 
-def _cmd_handshake_simulate(args: argparse.Namespace) -> int:
+def _cmd_handshake_simulate(args: argparse.Namespace) -> tuple[int, dict]:
     init_cfg, resp_cfg = make_configs(
         n=args.n, eps_prime=args.eps, rng_seed=args.rng_seed,
         eps_qkd=args.eps_qkd, tag_len=args.tag_len)
     result = run_handshake(init_cfg, resp_cfg, tamper=args.tamper)
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(dump_transcript(result.messages))
+        Path(args.dump).write_text(dump_transcript(result.messages),
+                                   encoding="utf-8")
     doc = {"outcome": result.outcome, "n": args.n,
            "eps_prime_neg_log2": args.eps.neg_log2,
            "qkd_budget_bits": result.params.qkd_budget,
@@ -292,16 +274,13 @@ def _cmd_handshake_simulate(args: argparse.Namespace) -> int:
     print(kv_format(doc), end="")
     if args.verbose:
         print(dump_transcript(result.messages), end="", file=sys.stderr)
-    _write_report(args, doc)
     expected = OUTCOME_ABORT if args.tamper else OUTCOME_SUCCESS
-    if result.outcome != expected:
-        return 1
-    if result.outcome == OUTCOME_SUCCESS and doc["finals_match"] != "true":
-        return 1
-    return 0
+    ok = (result.outcome == expected
+          and doc.get("finals_match", "true") == "true")
+    return 0 if ok else 1, doc
 
 
-def _cmd_mac_auth(args: argparse.Namespace) -> int:
+def _cmd_mac_auth(args: argparse.Namespace) -> tuple[int, dict]:
     key = read_qbits(args.key)
     msg = read_qbits(args.msg)
     mac_key = split_mac_key(key, len(msg), args.tag_len)
@@ -309,21 +288,20 @@ def _cmd_mac_auth(args: argparse.Namespace) -> int:
     if args.out:
         write_qbits(args.out, tag)
     print(tag.to01())
-    _write_report(args, {"msg_len": len(msg), "tag_len": args.tag_len,
-                         "key_len": len(key), "tag_bits": tag.to01()})
-    return 0
+    return 0, {"msg_len": len(msg), "tag_len": args.tag_len,
+               "key_len": len(key), "tag_bits": tag.to01()}
 
 
-def _cmd_mac_verify(args: argparse.Namespace) -> int:
+def _cmd_mac_verify(args: argparse.Namespace) -> tuple[int, dict]:
     key = read_qbits(args.key)
     msg = read_qbits(args.msg)
     tag = read_qbits(args.tag)
     mac_key = split_mac_key(key, len(msg), len(tag))
     ok = its_mac_verify(mac_key, msg, tag)
-    print("accept" if ok else "reject")
-    _write_report(args, {"verdict": "accept" if ok else "reject",
-                         "msg_len": len(msg), "tag_len": len(tag)})
-    return 0 if ok else 1
+    verdict = "accept" if ok else "reject"
+    print(verdict)
+    return 0 if ok else 1, {"verdict": verdict, "msg_len": len(msg),
+                            "tag_len": len(tag)}
 
 
 # -- selftest ----------------------------------------------------------------
@@ -524,43 +502,46 @@ def _selftest_extract_fixture() -> str:
     return "extract fixture: n=3 seed=10 input=110 -> 00"
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> tuple[int, dict]:
     suites = [_selftest_extract_fixture, _selftest_universality,
               _selftest_surjectivity, _selftest_fast_path,
               _selftest_fixtures, _selftest_mac, _selftest_chained_mac]
     results = {}
-    failed = 0
     for suite in suites:
+        name = suite.__name__.removeprefix("_selftest_")
         try:
-            line = suite()
-            print(f"ok: {line}")
-            results[suite.__name__.removeprefix("_selftest_")] = "ok"
+            print(f"ok: {suite()}")
+            results[name] = "ok"
         except AssertionError as exc:
             print(f"FAIL: {exc}")
-            results[suite.__name__.removeprefix("_selftest_")] = "fail"
-            failed += 1
-    _write_report(args, results)
-    return 1 if failed else 0
+            results[name] = "fail"
+    return int("fail" in results.values()), results
 
 
 # -- parser ------------------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser, verbose: bool = True) -> None:
-    sub.add_argument("--report", metavar="PATH",
-                     help="write a flat key-value report to PATH")
-    if verbose:
-        sub.add_argument("--verbose", action="store_true",
-                         help="print term breakdowns or debug dumps on "
-                              "stderr")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qlhl", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    leaves = []
 
-    p = top.add_parser("extract", help="apply a seeded hash to input bits")
+    def subgroup(name, help, dest):
+        """A subcommand that takes one of its own subcommands."""
+        return top.add_parser(name, help=help).add_subparsers(
+            dest=dest, required=True, parser_class=_Parser)
+
+    def command(group, name, handler, help, verbose=True) -> _Parser:
+        """A leaf subcommand running `handler`; its --report (and
+        --verbose) follow its own arguments, added once all exist."""
+        p = group.add_parser(name, help=help)
+        p.set_defaults(func=handler)
+        leaves.append((p, verbose))
+        return p
+
+    p = command(top, "extract", _cmd_extract,
+                "apply a seeded hash to input bits")
     p.add_argument("--family", choices=sorted(_FAMILY_NAMES),
                    default="modified-toeplitz")
     p.add_argument("--in", dest="infile", required=True, metavar="X.QBITS")
@@ -569,41 +550,35 @@ def build_parser() -> _Parser:
     p.add_argument("--out", metavar="OUT.QBITS")
     p.add_argument("--naive", action="store_true",
                    help="use the reference path instead of the kernels")
-    _add_common(p)
-    p.set_defaults(func=_cmd_extract)
 
-    bound = top.add_parser("bound", help="evaluate an output-length bound")
-    bsub = bound.add_subparsers(dest="bound_kind", required=True,
-                                parser_class=_Parser)
+    bsub = subgroup("bound", "evaluate an output-length bound", "bound_kind")
 
-    p = bsub.add_parser("qlhl", help="uniform-seed leftover-hash bound")
+    p = command(bsub, "qlhl", _cmd_bound_qlhl,
+                "uniform-seed leftover-hash bound")
     p.add_argument("--hmin", type=float, required=True)
     p.add_argument("--eps", type=parse_eps, required=True,
                    help="hashing closeness parameter")
     p.add_argument("--eps-smooth", type=parse_eps, default=SecurityLevel.zero())
-    _add_common(p)
-    p.set_defaults(func=_cmd_bound_qlhl)
 
-    p = bsub.add_parser("weak-seed", help="deficient seed, penalty paid twice")
+    p = command(bsub, "weak-seed", _cmd_bound_weak_seed,
+                "deficient seed, penalty paid twice")
     p.add_argument("--hmin", type=float, required=True)
     p.add_argument("--seed-len", type=int, required=True)
     p.add_argument("--hmin-seed", type=float, required=True)
     p.add_argument("--eps", type=parse_eps, required=True)
     p.add_argument("--eps-smooth", type=parse_eps, default=SecurityLevel.zero())
-    _add_common(p)
-    p.set_defaults(func=_cmd_bound_weak_seed)
 
-    p = bsub.add_parser("general", help="nonuniform seed, penalty paid once")
+    p = command(bsub, "general", _cmd_bound_general,
+                "nonuniform seed, penalty paid once")
     p.add_argument("--hmin", type=float, required=True)
     p.add_argument("--hmin-seed", type=float, required=True)
     p.add_argument("--seed-len", type=int, required=True)
     p.add_argument("--eps", type=parse_eps, required=True)
     p.add_argument("--eps-input", type=parse_eps, default=SecurityLevel.zero())
     p.add_argument("--eps-seed", type=parse_eps, default=SecurityLevel.zero())
-    _add_common(p)
-    p.set_defaults(func=_cmd_bound_general)
 
-    p = bsub.add_parser("case", help="two-key mixing bound per threat case")
+    p = command(bsub, "case", _cmd_bound_case,
+                "two-key mixing bound per threat case")
     p.add_argument("--case", choices=sorted(_THREAT_NAMES), required=True)
     p.add_argument("--len1", type=int, required=True)
     p.add_argument("--len2", type=int, required=True)
@@ -612,10 +587,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eps2", type=parse_eps, default=SecurityLevel.zero())
     p.add_argument("--lambda1", type=float, default=0.0)
     p.add_argument("--lambda2", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bound_case)
 
-    p = bsub.add_parser("public", help="public-seed mixing bound")
+    p = command(bsub, "public", _cmd_bound_public, "public-seed mixing bound")
     p.add_argument("--len1", type=int, required=True)
     p.add_argument("--len2", type=int, required=True)
     p.add_argument("--eps", type=parse_eps, required=True)
@@ -623,21 +596,17 @@ def build_parser() -> _Parser:
     p.add_argument("--eps2", type=parse_eps, default=SecurityLevel.zero())
     p.add_argument("--eps-seed", type=parse_eps, default=SecurityLevel.zero())
     p.add_argument("--reveal-allowed", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bound_public)
 
-    p = top.add_parser("alpha", help="balanced seed/input split of two keys")
+    p = command(top, "alpha", _cmd_alpha,
+                "balanced seed/input split of two keys", verbose=False)
     p.add_argument("--len1", type=int, required=True)
     p.add_argument("--len2", type=int, required=True)
-    _add_common(p, verbose=False)
-    p.set_defaults(func=_cmd_alpha)
 
-    boot = top.add_parser("bootstrap",
-                          help="seed one extraction from two raw sources")
-    bssub = boot.add_subparsers(dest="bootstrap_step", required=True,
-                                parser_class=_Parser)
+    bssub = subgroup("bootstrap", "seed one extraction from two raw sources",
+                     "bootstrap_step")
 
-    p = bssub.add_parser("plan", help="check geometry and entropy budget")
+    p = command(bssub, "plan", _cmd_bootstrap_plan,
+                "check geometry and entropy budget")
     p.add_argument("--x1", required=True, metavar="SPEC.KV")
     p.add_argument("--x2", required=True, metavar="SPEC.KV")
     p.add_argument("--out-len", type=int, required=True)
@@ -645,18 +614,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", metavar="PLAN.KV")
     p.add_argument("--no-swap", action="store_true",
                    help="keep x1 as input and x2 as seed even if shorter")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bootstrap_plan)
 
-    p = bssub.add_parser("run", help="execute a plan on sampled bits")
+    p = command(bssub, "run", _cmd_bootstrap_run,
+                "execute a plan on sampled bits", verbose=False)
     p.add_argument("--plan", required=True, metavar="PLAN.KV")
     p.add_argument("--x1-bits", required=True, metavar="F1.QBITS")
     p.add_argument("--x2-bits", required=True, metavar="F2.QBITS")
     p.add_argument("--out", required=True, metavar="OUT.QBITS")
-    _add_common(p, verbose=False)
-    p.set_defaults(func=_cmd_bootstrap_run)
 
-    p = top.add_parser("combine", help="mix two secret keys into one")
+    p = command(top, "combine", _cmd_combine, "mix two secret keys into one")
     p.add_argument("--mode", choices=["private", "public"], required=True)
     p.add_argument("--key1", required=True, metavar="A.QBITS")
     p.add_argument("--spec1", required=True, metavar="A.KV")
@@ -678,22 +644,18 @@ def build_parser() -> _Parser:
                    help="drop one bit of key2 when the total is even")
     p.add_argument("--requested-len", type=int)
     p.add_argument("--out", metavar="OUT.QBITS")
-    _add_common(p)
-    p.set_defaults(func=_cmd_combine)
 
-    p = top.add_parser("budget",
-                       help="QKD bits one handshake run consumes")
+    p = command(top, "budget", _cmd_budget,
+                "QKD bits one handshake run consumes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=parse_eps, required=True)
     p.add_argument("--lengths", metavar="L1,...,L9",
                    help="explicit per-key lengths overriding --n")
-    _add_common(p)
-    p.set_defaults(func=_cmd_budget)
 
-    hs = top.add_parser("handshake", help="hybrid handshake simulator")
-    hsub = hs.add_subparsers(dest="handshake_step", required=True,
-                             parser_class=_Parser)
-    p = hsub.add_parser("simulate", help="run one two-party handshake")
+    hsub = subgroup("handshake", "hybrid handshake simulator",
+                    "handshake_step")
+    p = command(hsub, "simulate", _cmd_handshake_simulate,
+                "run one two-party handshake")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--eps", type=parse_eps, default=SecurityLevel(64.0))
     p.add_argument("--eps-qkd", type=parse_eps, default=None)
@@ -703,32 +665,31 @@ def build_parser() -> _Parser:
     p.add_argument("--dump", metavar="TRANSCRIPT.LOG")
     p.add_argument("--rng-seed", type=int, default=0,
                    help="master seed every random draw derives from")
-    _add_common(p)
-    p.set_defaults(func=_cmd_handshake_simulate)
 
-    mac = top.add_parser("mac", help="one-shot hash-then-pad MAC; bounds "
-                         "impersonation only, not substitution")
-    msub = mac.add_subparsers(dest="mac_step", required=True,
-                              parser_class=_Parser)
-    p = msub.add_parser("auth", help="tag a message with a fresh key")
+    msub = subgroup("mac", "one-shot hash-then-pad MAC; bounds impersonation "
+                    "only, not substitution", "mac_step")
+    p = command(msub, "auth", _cmd_mac_auth,
+                "tag a message with a fresh key", verbose=False)
     p.add_argument("--key", required=True, metavar="K.QBITS")
     p.add_argument("--msg", required=True, metavar="M.QBITS")
     p.add_argument("--tag-len", type=int, required=True)
     p.add_argument("--out", metavar="TAG.QBITS")
-    _add_common(p, verbose=False)
-    p.set_defaults(func=_cmd_mac_auth)
 
-    p = msub.add_parser("verify", help="check a tag")
+    p = command(msub, "verify", _cmd_mac_verify, "check a tag", verbose=False)
     p.add_argument("--key", required=True, metavar="K.QBITS")
     p.add_argument("--msg", required=True, metavar="M.QBITS")
     p.add_argument("--tag", required=True, metavar="TAG.QBITS")
-    _add_common(p, verbose=False)
-    p.set_defaults(func=_cmd_mac_verify)
 
-    p = top.add_parser("selftest", help="run the exhaustive oracle suites")
-    _add_common(p, verbose=False)
-    p.set_defaults(func=_cmd_selftest)
+    command(top, "selftest", _cmd_selftest,
+            "run the exhaustive oracle suites", verbose=False)
 
+    for p, verbose in leaves:
+        p.add_argument("--report", metavar="PATH",
+                       help="write a flat key-value report to PATH")
+        if verbose:
+            p.add_argument("--verbose", action="store_true",
+                           help="print term breakdowns or debug dumps on "
+                                "stderr")
     return parser
 
 
@@ -739,7 +700,10 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, doc = args.func(args)
+        if args.report:
+            Path(args.report).write_text(kv_format(doc), encoding="utf-8")
+        return code
     except (Infeasible, BudgetExceeded) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -140,7 +140,9 @@ class CombineRequest:
             raise ValueError("key1 length disagrees with spec1")
         if len(self.key2) != self.spec2.length:
             raise ValueError("key2 length disagrees with spec2")
-        if self.revealed_key not in (None, 1, 2):
+        if self.revealed_key is not None and not (
+                is_bit_count(self.revealed_key)
+                and self.revealed_key in (1, 2)):
             raise ValueError("revealed_key must be None, 1 or 2")
         if not (0 <= self.lambda1 < math.inf
                 and 0 <= self.lambda2 < math.inf):

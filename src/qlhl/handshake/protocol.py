@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..bits import BitString
+from ..bits import BitString, is_bit_count
 from ..ledger import SecurityLevel, eps_sum
 from .mac import transcript_mac
 from .providers import (KemKeyPair, MockKem, MockQkdStore, UnknownQkdIdError,
@@ -131,7 +131,7 @@ class OneTimePad:
 
     def take(self, nbits: int) -> BitString:
         """The next nbits of the pad; a refused size leaves the cursor."""
-        if not isinstance(nbits, (int, np.integer)) or nbits < 0:
+        if not is_bit_count(nbits) or nbits < 0:
             raise ValueError(f"pad {self._name}: segment size must be a "
                              f"non-negative integer, got {nbits!r}")
         end = self._pos + nbits

@@ -33,11 +33,12 @@ call then does only the per-message work: it joins its inputs, checks
 the seed and the budget, runs the one extraction and splits its int.
 
 Refusals. Every length (n, the nine per-key lengths, a stage's output
-lengths) must be a finite whole number, or the call raises ValueError;
-an integral float such as 256.0 is taken as the int 256. Lengths are
-checked before the memo is looked up, so a fraction never reaches it.
-The chain arithmetic runs in float64 through `required_hmin`, which is
-exact below 2**53, so a budget that reaches 2**53 bits is refused too.
+lengths) must be a finite whole number and not a bool, or the call
+raises ValueError; an integral float such as 256.0 is taken as the int
+256. Lengths are checked before the memo is looked up, so a fraction
+never reaches it. The chain arithmetic runs in float64 through
+`required_hmin`, which is exact below 2**53, so a budget that reaches
+2**53 bits is refused too.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ..bits import BitString, concat_all
 from ..bounds import required_hmin
@@ -76,9 +79,10 @@ class BudgetExceeded(ValueError):
 
 
 def _whole(value, what: str) -> int:
-    """value as an int; ValueError unless it is a finite whole number."""
+    """value as an int; ValueError unless it is a finite whole number
+    other than a bool, which would pass for one bit."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:

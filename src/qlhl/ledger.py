@@ -263,12 +263,7 @@ def leak(x: SourceSpec, bits_revealed: float) -> SourceSpec:
 
 def kv_format(record: dict) -> str:
     """Serialize a flat mapping as 'key: value' lines."""
-    lines = []
-    for key, value in record.items():
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf"
-        lines.append(f"{key}: {value}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key}: {value}" for key, value in record.items()) + "\n"
 
 
 def kv_parse(text: str) -> dict:

@@ -5,7 +5,7 @@ import pytest
 
 from qlhl import _kernels
 from qlhl.bits import BitString, read_qbits, write_qbits
-from qlhl.cli import main, parse_eps
+from qlhl.cli import build_parser, main, parse_eps
 from qlhl.handshake import mac
 from qlhl.ledger import kv_parse, source_to_kv
 from qlhl.ledger import SecurityLevel, SourceSpec
@@ -449,3 +449,151 @@ def test_selftest_tags_on_both_sides_of_the_gather_crossover(monkeypatch,
     assert main(["selftest"]) == 0
     assert "ok: chained MAC" in capsys.readouterr().out
     assert min(framed) < mac._WINDOW_BYTES <= max(framed)
+
+
+# -- the one report path -----------------------------------------------------
+
+
+def _leaf_calls(tmp_path):
+    """One call of every leaf subcommand that returns a result, with the
+    exit code it returns: 2 for an infeasible bound, 1 for a rejected
+    tag."""
+    rng = np.random.default_rng(70)
+    _write_bits(tmp_path / "x.qbits", rng, 100)
+    _write_bits(tmp_path / "s.qbits", rng, 99)
+    _write_spec(tmp_path / "x1.kv", "x1", 1024, 700)
+    _write_spec(tmp_path / "x2.kv", "x2", 1023, 650)
+    _write_bits(tmp_path / "x1.qbits", rng, 1024)
+    _write_bits(tmp_path / "x2.qbits", rng, 1023)
+    _write_bits(tmp_path / "k1.qbits", rng, 128)
+    _write_bits(tmp_path / "k2.qbits", rng, 127)
+    _write_spec(tmp_path / "k1.kv", "k1", 128, 128)
+    _write_spec(tmp_path / "k2.kv", "k2", 127, 127)
+    _write_bits(tmp_path / "key.qbits", rng, 13)
+    _write_bits(tmp_path / "msg.qbits", rng, 10)
+    write_qbits(tmp_path / "tag.qbits", BitString.zeros(4))
+    plan = str(tmp_path / "plan.kv")
+    assert main(["bootstrap", "plan", "--x1", str(tmp_path / "x1.kv"),
+                 "--x2", str(tmp_path / "x2.kv"), "--out-len", "128",
+                 "--eps", "2^-64", "--out", plan]) == 0
+    t = {name: str(tmp_path / name) for name in (
+        "x.qbits", "s.qbits", "x1.kv", "x2.kv", "x1.qbits", "x2.qbits",
+        "k1.qbits", "k2.qbits", "k1.kv", "k2.kv", "key.qbits", "msg.qbits",
+        "tag.qbits")}
+    return {
+        "extract": (["extract", "--in", t["x.qbits"], "--seed", t["s.qbits"],
+                     "--m", "38"], 0),
+        "bound qlhl": (["bound", "qlhl", "--hmin", "100", "--eps", "0"], 2),
+        "bound weak-seed": (["bound", "weak-seed", "--hmin", "100",
+                             "--seed-len", "63", "--hmin-seed", "60",
+                             "--eps", "2^-16"], 0),
+        "bound general": (["bound", "general", "--hmin", "80", "--hmin-seed",
+                           "50", "--seed-len", "63", "--eps", "2^-20"], 0),
+        "bound case": (["bound", "case", "--case", "controlled", "--len1",
+                        "256", "--len2", "256", "--eps", "2^-32"], 2),
+        "bound public": (["bound", "public", "--len1", "128", "--len2", "256",
+                          "--eps", "2^-32"], 0),
+        "alpha": (["alpha", "--len1", "128", "--len2", "127"], 0),
+        "bootstrap plan": (["bootstrap", "plan", "--x1", t["x1.kv"], "--x2",
+                            t["x2.kv"], "--out-len", "128", "--eps",
+                            "2^-64"], 0),
+        "bootstrap run": (["bootstrap", "run", "--plan", plan, "--x1-bits",
+                           t["x1.qbits"], "--x2-bits", t["x2.qbits"],
+                           "--out", str(tmp_path / "boot.qbits")], 0),
+        "combine": (["combine", "--mode", "private", "--key1", t["k1.qbits"],
+                     "--spec1", t["k1.kv"], "--key2", t["k2.qbits"],
+                     "--spec2", t["k2.kv"], "--eps", "2^-32"], 0),
+        "budget": (["budget", "--n", "64", "--eps", "2^-16"], 0),
+        "handshake simulate": (["handshake", "simulate", "--n", "64",
+                                "--eps", "2^-16"], 0),
+        "mac auth": (["mac", "auth", "--key", t["key.qbits"], "--msg",
+                      t["msg.qbits"], "--tag-len", "4"], 0),
+        "mac verify": (["mac", "verify", "--key", t["key.qbits"], "--msg",
+                        t["msg.qbits"], "--tag", t["tag.qbits"]], 1),
+        "selftest": (["selftest"], 0),
+    }
+
+
+_LEAVES = ["extract", "bound qlhl", "bound weak-seed", "bound general",
+           "bound case", "bound public", "alpha", "bootstrap plan",
+           "bootstrap run", "combine", "budget", "handshake simulate",
+           "mac auth", "mac verify", "selftest"]
+
+
+@pytest.mark.parametrize("leaf", _LEAVES)
+def test_every_command_reports_the_result_it_returns(leaf, tmp_path, capsys):
+    argv, code = _leaf_calls(tmp_path)[leaf]
+    report = tmp_path / "r.kv"
+    assert main(argv + ["--report", str(report)]) == code
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    assert kv_parse(report.read_text())
+
+
+@pytest.mark.parametrize("leaf", _LEAVES)
+def test_an_unwritable_report_exits_1_after_the_output(leaf, tmp_path,
+                                                      capsys):
+    argv, _ = _leaf_calls(tmp_path)[leaf]
+    capsys.readouterr()
+    main(argv)
+    want = capsys.readouterr()
+    missing = tmp_path / "missing" / "r.kv"
+    assert main(argv + ["--report", str(missing)]) == 1
+    got = capsys.readouterr()
+    assert got.out == want.out
+    assert got.err == want.err + \
+        f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_leaf_calls_cover_every_subcommand():
+    # a subcommand group's choices map names to parsers
+    leaves, stack = [], [("", build_parser())]
+    while stack:
+        prefix, parser = stack.pop()
+        groups = [a.choices for a in parser._actions
+                  if isinstance(a.choices, dict)]
+        if not groups:
+            leaves.append(prefix.strip())
+        for choices in groups:
+            stack += [(f"{prefix} {name}", sub)
+                      for name, sub in choices.items()]
+    assert sorted(leaves) == sorted(_LEAVES)
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["alpha", "--len1", "128", "--len2", "128"], 1, "error:"),
+    (["bound", "qlhl", "--hmin", "nan", "--eps", "2^-32"], 1, "error:"),
+    (["budget", "--n", "0", "--eps", "2^-16"], 1, "error:"),
+    (["handshake", "simulate", "--n", "64", "--eps", "2^-16", "--tamper",
+      "m9:bit3"], 1, "error:"),
+])
+def test_no_report_when_a_command_stops_with_an_error(argv, code, stream,
+                                                      tmp_path, capsys):
+    report = tmp_path / "r.kv"
+    assert main(argv + ["--report", str(report)]) == code
+    assert capsys.readouterr().err.startswith(stream)
+    assert not report.exists()
+
+
+def test_no_report_when_a_plan_is_refused(tmp_path, capsys):
+    _write_spec(tmp_path / "x1.kv", "x1", 1024, 600)
+    _write_spec(tmp_path / "x2.kv", "x2", 1023, 600)
+    report = tmp_path / "r.kv"
+    assert main(["bootstrap", "plan", "--x1", str(tmp_path / "x1.kv"),
+                 "--x2", str(tmp_path / "x2.kv"), "--out-len", "128",
+                 "--eps", "2^-64", "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("infeasible:")
+    assert not report.exists()
+
+
+def test_report_of_an_infeasible_bound_keeps_a_negative_raw_value(
+        tmp_path, capsys):
+    # eps 0 asks for an infinite hash penalty: the raw length is -inf,
+    # which the report once wrote as inf
+    report = tmp_path / "r.kv"
+    assert main(["bound", "qlhl", "--hmin", "100", "--eps", "0", "--verbose",
+                 "--report", str(report)]) == 2
+    assert "raw_value: -inf\n" in capsys.readouterr().err
+    doc = kv_parse(report.read_text())
+    assert doc["raw_value"] == "-inf"
+    assert doc["max_output_len"] == "-1"

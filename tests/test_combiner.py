@@ -102,6 +102,15 @@ def test_combine_request_rejects_bad_lambdas(mode, bad):
                            threat=ThreatCase.REVEAL_OUTPUT, **lambdas)
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, 3])
+def test_combine_request_refuses_a_key_index_that_is_not_1_or_2(bad):
+    # True was taken as key 1
+    rng = np.random.default_rng(37)
+    with pytest.raises(ValueError, match="revealed_key"):
+        _private_request(rng, threat=ThreatCase.REVEALED_KEY,
+                         revealed_key=bad)
+
+
 def test_controlled_key_combination_refused():
     rng = np.random.default_rng(35)
     with pytest.raises(Infeasible):

@@ -106,6 +106,15 @@ def test_budget_refuses_lengths_that_are_not_whole_numbers():
     assert type(budget(256.0, E16).n) is int
 
 
+@pytest.mark.parametrize("bad", [True, np.True_])
+def test_budget_refuses_a_bool_length(bad):
+    # True passed for one bit and budgeted 129 bits
+    with pytest.raises(ValueError, match="whole number"):
+        budget(bad, E16)
+    with pytest.raises(ValueError, match="whole number"):
+        budget(0, E16, per_key_lengths=(bad,) * 9)
+
+
 def test_budget_memo_equals_a_fresh_computation():
     eps = SecurityLevel(64.0)
     lens = (32, 32, 64, 48, 48, 64, 64, 16, 16)
@@ -156,6 +165,14 @@ def test_schedule_stage_refuses_output_lengths_that_are_not_whole():
         schedule_stage(2, [key], label, traffic, seed, (10 ** 400,), E16)
     assert schedule_stage(2, [key], label, traffic, seed, (20.0, 10), E16) \
         == schedule_stage(2, [key], label, traffic, seed, (20, 10), E16)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_])
+def test_schedule_stage_refuses_a_bool_output_length(bad):
+    rng = np.random.default_rng(54)
+    key, label, traffic, _, seed = _stage_fixture(rng)
+    with pytest.raises(ValueError, match="whole number"):
+        schedule_stage(2, [key], label, traffic, seed, (bad, 10), E16)
 
 
 # -- stage extraction --------------------------------------------------------
@@ -240,6 +257,15 @@ def test_one_time_pad_refuses_bad_sizes_without_moving(nbits):
     assert pad.take(2).to01() == "11"
     with pytest.raises(PadExhaustedError):
         pad.take(1)
+
+
+@pytest.mark.parametrize("nbits", [True, np.True_])
+def test_one_time_pad_refuses_a_bool_size(nbits):
+    # take(True) handed out one bit
+    pad = OneTimePad(BitString.from_str("10110011"), "demo")
+    with pytest.raises(ValueError, match="segment size"):
+        pad.take(nbits)
+    assert pad.take(3).to01() == "101"
 
 
 def test_tamper_spec_parse_and_apply():

@@ -147,6 +147,14 @@ def test_kv_format_round_trip():
     assert int(parsed["n"]) == 12
 
 
+def test_kv_format_keeps_the_sign_of_an_infinity():
+    # -inf was written as inf: an infeasible bound's raw length read as
+    # an infinite one
+    parsed = kv_parse(kv_format({"up": math.inf, "down": -math.inf}))
+    assert float(parsed["up"]) == math.inf
+    assert float(parsed["down"]) == -math.inf
+
+
 def test_source_kv_round_trip():
     spec = SourceSpec("qkd", 256, 254.5, SecurityLevel(64.0),
                       EntropyKind.SMOOTH)
