@@ -201,14 +201,27 @@ def xor_combine_baseline(key1: BitString, key2: BitString) -> BitString:
     return xor(key1, key2)
 
 
+# the threat cases that reveal one key, which a revealed_key names
+_KEY_REVEALING_CASES = (ThreatCase.REVEALED_KEY,
+                        ThreatCase.REVEAL_OUTPUT_AND_KEY)
+
+
+def _check_revealed_key(req: CombineRequest) -> None:
+    """Refuse a revealed_key under a threat that reveals no key, which
+    would size the output for a threat the caller did not name."""
+    if req.revealed_key is not None \
+            and req.threat not in _KEY_REVEALING_CASES:
+        raise ValueError(f"revealed_key {req.revealed_key} needs a threat "
+                         f"that reveals a key, not {req.threat.value}")
+
+
 def _output_kind(spec1: SourceSpec, spec2: SourceSpec, threat: ThreatCase,
                  revealed_key: Optional[int]) -> EntropyKind:
     # once a key is revealed it contributes nothing, so the output's
     # entropy notion is the surviving key's: revealing the
     # computational key leaves an information-theoretic guarantee,
     # revealing the ITS key leaves a computational one
-    if threat in (ThreatCase.REVEALED_KEY, ThreatCase.REVEAL_OUTPUT_AND_KEY) \
-            and revealed_key is not None:
+    if threat in _KEY_REVEALING_CASES and revealed_key is not None:
         survivor = spec2 if revealed_key == 1 else spec1
         return survivor.kind
     return spec1.kind.combine(spec2.kind)
@@ -346,7 +359,8 @@ def combine_private(req: CombineRequest) -> CombineResult:
 
     Raises:
         ValueError: a seed, transcript or non-zero eps_seed, which this
-            mode has no use for; an even total without auto_truncate; a
+            mode has no use for; a revealed_key under a threat that
+            reveals no key; an even total without auto_truncate; a
             requested_len that is not an integer.
         Infeasible: a key with hmin < length (the shortfall is the sum
             of length - hmin), a threat case that admits no output at
@@ -354,6 +368,7 @@ def combine_private(req: CombineRequest) -> CombineResult:
     """
     if req.mode is not CombineMode.PRIVATE_SEED:
         raise ValueError("combine_private needs mode=PRIVATE_SEED")
+    _check_revealed_key(req)
     for name, given in (("seed", req.seed is not None),
                         ("transcript", req.transcript is not None),
                         ("eps_seed", not req.eps_seed.is_zero())):
@@ -444,12 +459,14 @@ def combine_public(req: CombineRequest) -> CombineResult:
 
     Raises:
         OrderingViolation: seed_after_keys not asserted.
-        ValueError: missing or mis-sized seed; a requested_len that is
-            not an integer.
+        ValueError: missing or mis-sized seed; a revealed_key under a
+            threat that reveals no key; a requested_len that is not an
+            integer.
         Infeasible: no output admissible under the threat case.
     """
     if req.mode is not CombineMode.PUBLIC_SEED:
         raise ValueError("combine_public needs mode=PUBLIC_SEED")
+    _check_revealed_key(req)
     spec1, spec2 = req.spec1, req.spec2
     caps: tuple[float, ...] = ()
     if req.threat in (ThreatCase.REVEAL_OUTPUT,

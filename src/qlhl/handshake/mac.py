@@ -161,6 +161,28 @@ _WORD_SHIFTS = tuple(56 - e * np.arange(8, dtype=np.uint64)[:, None]
 _WINDOW_BYTES = 24 << 10
 
 
+def _framed_store(size: int, b: int) -> np.ndarray:
+    """This thread's kept array "framed", sized for `size` framed bytes:
+    whole groups of 8 blocks of b bits, b bytes a group, and the 8 bytes
+    past them that the 64-bit word view reads."""
+    return _kernels._kept("framed", -(-size // b) * b + 8, np.uint8)
+
+
+def _framed(message: bytes, b: int) -> np.ndarray:
+    """The 64-bit big-endian bit-length header and the message, written
+    straight into the kept array `_message_blocks` gathers b-bit blocks
+    from, zero-padded past them: the framed bytes without a copy of the
+    message of their own. A view of the first 8 + len(message) bytes,
+    valid until the thread's next call."""
+    size = 8 + len(message)
+    data = _framed_store(size, b)
+    view = data.data        # a memoryview copies bytes in with less work
+    view[:8] = (8 * len(message)).to_bytes(8, "big")
+    view[8:size] = message
+    data[size:] = 0
+    return data[:size]
+
+
 def _message_blocks(framed: bytes, b: int) -> np.ndarray:
     """The framed bits, zero-padded to whole blocks of b bits, as an
     (nblocks, ceil(b / 8)) uint8 matrix of each block's bytes, MSB first.
@@ -198,13 +220,15 @@ def _message_blocks(framed: bytes, b: int) -> np.ndarray:
     (_kernels._kept), valid until the thread's next call;
     `_kernels.chained_mac` drops the store as it returns if its arrays
     pass _kernels._KEPT_BYTES. A padded copy allocated per call took 64
-    page faults on every 256 KB tag; kept, it takes none.
+    page faults on every 256 KB tag; kept, it takes none. Framed bytes
+    that `_framed` already wrote into the kept array are not copied.
     """
     width, nblocks = (b + 7) // 8, -(-len(framed) * 8 // b)
+    data = _framed_store(len(framed), b)
+    if getattr(framed, "base", None) is not data.base:
+        data[:len(framed)] = np.frombuffer(framed, dtype=np.uint8)
+        data[len(framed):] = 0
     groups = -(-nblocks // 8)
-    data = _kernels._kept("framed", groups * b + 8, np.uint8)
-    data[:len(framed)] = np.frombuffer(framed, dtype=np.uint8)
-    data[len(framed):] = 0
     blocks = _kernels._kept("blocks", groups * 8 * width,
                             np.uint8).reshape(groups, 8, width)
     if len(framed) < _WINDOW_BYTES:
@@ -238,8 +262,7 @@ def transcript_mac(fk: BitString, message: bytes, tag_len: int) -> BitString:
         raise ValueError("tag length must be 1..64 bits")
     b = transcript_mac_block_bits(n, t)
     columns = _toeplitz_columns(fk.to_int() >> t, t, b)
-    framed = (len(message) * 8).to_bytes(8, "big") + message
-    blocks = _message_blocks(framed, b)
+    blocks = _message_blocks(_framed(message, b), b)
     state = _kernels.chained_mac(columns, blocks, t, _GALOIS_TAPS[t])
     # tag bit i is state bit i
     return BitString.from_int(_kernels._reverse(state, t), t) ^ fk[n - t:n]

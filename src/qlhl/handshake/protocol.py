@@ -18,9 +18,18 @@ encryption of x under pad segment P):
 
 _STEPS below is this flow as a table: the sender of each message and the
 one step that builds it and the one that checks it, for either role.
-A receiver decodes each message once and checks its type, field count
-and every field size against wire.FIELDS before the step's own check
-(QKD id, certificate trust, decapsulation or finish tag) runs.
+A receiver decodes each message once (`_expect`) and checks its type,
+field count and every field size against wire.FIELDS; `receive` then
+hands the fields to the step, whose own check (QKD id, certificate
+trust, decapsulation or finish tag) runs. Both finish steps compute
+their padded tag in one helper (`_padded_tag`).
+
+Which keys each stage hashes, in what order, which of them is secure and
+what it emits is schedule.STAGES; a party reads its stage inputs from
+there and keeps only each stage's label index (_STAGE_LABELS) and, per
+PRF key, its label index and the secret it expands (_PRF_KEYS). Every
+key, the pre-shared block "qkd" included, lives under its name in the
+party's `intermediate` dict.
 
 Each stage i hashes (keys || label || transcript-core-so-far) with the
 public seed s_i carried on the wire. The transcript fed to a stage is
@@ -29,8 +38,9 @@ before drawing; MAC tags and the PRF contexts bind the full wire bytes.
 Each party builds a message's core from what it already holds: the
 sender from the fields it encodes, the receiver from the decoded fields.
 Stage seeds are one bit shorter than their input, sized at runtime from
-the actual transcript; for stage 4 the seed is drawn at m7 using the
-fixed size of m8, whose bytes enter the stage only after the exchange.
+the actual transcript and the key lengths STAGES implies; for stage 4
+the seed is drawn at m7 using the fixed size of m8, whose bytes enter
+the stage only after the exchange.
 
 What a party computes once per run and what per message. The schedule
 geometry (ScheduleParams from `budget`, with each stage's output
@@ -42,7 +52,8 @@ a running int of the core transcript and that transcript's byte count,
 packs a seed from one draw, and xors pads and KEM masks as ints. Per
 stage it builds the traffic bits from the running int, without joining
 the transcript again. Nothing secret outlives the run: the kept values
-are public parameters only.
+are public parameters only, and a RunResult holds the finals, the public
+parameters and the wire bytes, but neither party.
 
 Pads are carved as disjoint segments of the named handshake-traffic
 secrets in a fixed order on both sides; running out is a hard error,
@@ -67,7 +78,7 @@ from ..ledger import SecurityLevel, eps_sum
 from .mac import transcript_mac
 from .providers import (KemKeyPair, MockKem, MockQkdStore, UnknownQkdIdError,
                         prf_expand)
-from .schedule import STAGE_OUTPUTS, ScheduleParams, budget, schedule_stage
+from .schedule import STAGES, ScheduleParams, budget, schedule_stage
 from .wire import FIELDS, SEED_FIELD_INDEX, WireError, core_form, \
     encode_message, decode_message, field_to_bits, with_seed
 # no longer called here; perfbench's tracing still resolves it by this path
@@ -85,12 +96,13 @@ QKD_ID_BYTES = 8
 _SEED_STAGE = {index: stage
                for stage, index in enumerate(sorted(SEED_FIELD_INDEX), 1)}
 
-# stage -> (label index, PRF key derived here and its label index); a
-# stage reads the previous stage's chain key, except stage 1, which reads
-# the pre-shared block and also derives k_SecState from the previous
-# session state
-_STAGES = {1: (3, ("k_pq", 2)), 2: (5, ("k_pq_I", 4)),
-           3: (7, ("k_pq_R", 6)), 4: (8, None)}
+# stage -> the label index its extraction hashes; schedule.STAGES names
+# its keys
+_STAGE_LABELS = {1: 3, 2: 5, 3: 7, 4: 8}
+# PRF key -> (its label index, the party attribute holding the secret it
+# expands: the last KEM secret or the previous session state)
+_PRF_KEYS = {"k_SecState": (1, "sec_state"), "k_pq": (2, "shared"),
+             "k_pq_I": (4, "shared"), "k_pq_R": (6, "shared")}
 
 
 class AbortReason(enum.Enum):
@@ -278,8 +290,6 @@ class RunResult(NamedTuple):
     abort_party: Optional[str]
     params: ScheduleParams
     messages: tuple                   # wire bytes as delivered
-    initiator: "Initiator"
-    responder: "Responder"
 
 
 OUTCOME_SUCCESS = "Success"
@@ -301,24 +311,24 @@ class _Party:
                             "id": QKD_ID_BYTES,
                             "tag": (cfg.tag_bits + 7) // 8}
         # stage -> the bits of its input besides the core transcript so
-        # far: keys and 64 label bits, and for stage 4 the framed m8
-        # (header and length-prefixed fixed fields), less the one bit a
-        # seed is shorter than its input
-        n = cfg.n
-        m8 = 5 + sum(4 + self.field_bytes[kind] for kind in FIELDS[8])
-        self.seed_base = {1: n + params.qkd_budget + n + 63,
-                          2: params.k1 + n + 63, 3: params.k2 + n + 63,
-                          4: params.k3 + 63 + 8 * m8}
+        # far: its keys (a PRF key is n bits) and 64 label bits, less the
+        # one bit a seed is shorter than its input, and for stage 4 the
+        # framed m8 (header and length-prefixed fixed fields)
+        self.seed_base = {stage: 63 + sum(params.key_lens.get(key, cfg.n)
+                                          for key in wiring.inputs)
+                          for stage, wiring in STAGES.items()}
+        self.seed_base[4] += 8 * (5 + sum(4 + self.field_bytes[kind]
+                                          for kind in FIELDS[8]))
+        self.sec_state = cfg.sec_state.to_bytes()
         self.rng = np.random.default_rng([cfg.rng_seed, self.rng_offset])
         self.kem = MockKem(cfg.n // 2, self.rng)
         self.transcript: list = []       # full wire bytes, own view
         # the seed-stripped twins, as one big-endian int and its bytes
         self.core_value = 0
         self.core_bytes = 0
-        self.intermediate: dict = {}
+        self.intermediate: dict = {}     # key name -> bits, "qkd" too
         self.pads: dict = {}             # pad name -> OneTimePad
         self.seeds: dict = {}            # stage -> public seed
-        self.seed_lens: list = []
         self.finals: Optional[Finals] = None
 
     def send(self, index: int) -> bytes:
@@ -342,9 +352,10 @@ class _Party:
         return msg
 
     def receive(self, index: int, data: bytes) -> None:
-        """Check and record message `index`; aborts on any mismatch."""
+        """Check and record message `index`, then hand its fields to its
+        step; aborts on any mismatch."""
         _, _, step, args, stage = _STEPS[index]
-        step(self, index, data, *args)
+        step(self, index, *args, *self._expect(data, index))
         if stage:
             self._stage(stage)
 
@@ -413,35 +424,28 @@ class _Party:
     # -- schedule ---------------------------------------------------------
 
     def _stage(self, stage: int) -> None:
-        """Run a stage; its PRF key is derived from the KEM secret that the
-        step completing it left in self.shared (and self.k_qkd, stage 1)."""
-        label, derived = _STAGES[stage]
-        keys = [self.intermediate[STAGE_OUTPUTS[stage - 1][0]]] \
-            if stage > 1 else []
-        if derived:
-            full = self._full()
-            name, prf_label = derived
-            self.intermediate[name] = prf_expand(
-                self.shared, LABELS[prf_label] + full, self.cfg.n)
-            keys.append(self.intermediate[name])
-        if stage == 1:
-            k_sec = prf_expand(self.cfg.sec_state.to_bytes(),
-                               LABELS[1] + full, self.cfg.n)
-            self.intermediate["k_SecState"] = k_sec
-            keys += [self.k_qkd, k_sec]
+        """Run a stage: derive each input besides the secure one, a PRF key
+        bound to the full transcript so far, then extract the outputs."""
+        inputs, secure, outputs = STAGES[stage]
+        keys = self.intermediate
+        for name in inputs:
+            if name != secure:
+                label, secret = _PRF_KEYS[name]
+                keys[name] = prf_expand(getattr(self, secret),
+                                        LABELS[label] + self._full(),
+                                        self.cfg.n)
         traffic = BitString.from_int(self.core_value, 8 * self.core_bytes)
-        seed = self.seeds[stage]
         outs = schedule_stage(
-            stage, keys, LABEL_BITS[label], traffic, seed,
+            stage, [keys[name] for name in inputs],
+            LABEL_BITS[_STAGE_LABELS[stage]], traffic, self.seeds[stage],
             self.params.stage_out_lens(stage), self.cfg.eps_prime)
-        self.seed_lens.append(len(seed))
-        self.intermediate.update(zip(STAGE_OUTPUTS[stage], outs))
+        keys.update(zip(outputs, outs))
         if stage == 4:
             # the QKD imperfection, then each stage's seed and extraction
             # failures in stage order
             cfg, stage_eps = self.cfg, self.params.stage_eps
             eps = eps_sum((cfg.eps_qkd, *(cfg.eps_seed, stage_eps) * 4))
-            self.finals = Finals(*outs, eps, len(self.k_qkd))
+            self.finals = Finals(*outs, eps, len(keys["qkd"]))
 
     def _seed_len(self, stage: int, pending: int) -> int:
         """One bit less than the stage's keys, label and core transcript,
@@ -454,18 +458,17 @@ class _Party:
         self.eph = self.kem.keypair()
         return [self.eph.public_key, self._rand_bytes(NONCE_BYTES)]
 
-    def _recv_hello(self, index: int, data: bytes) -> None:
-        self.peer_eph_pk = self._expect(data, index)[0]
+    def _recv_hello(self, index: int, eph_pk: bytes, *_) -> None:
+        self.peer_eph_pk = eph_pk
 
     def _send_qkd(self, index: int) -> list:
-        ident, self.k_qkd = self.cfg.qkd_store.next_block()
+        ident, self.intermediate["qkd"] = self.cfg.qkd_store.next_block()
         c_pq, self.shared = self.kem.encapsulate(self.peer_eph_pk)
         return [c_pq, ident, self._rand_bytes(NONCE_BYTES)]
 
-    def _recv_qkd(self, index: int, data: bytes) -> None:
-        c_pq, ident, *_ = self._expect(data, index)
+    def _recv_qkd(self, index: int, c_pq: bytes, ident: bytes, *_) -> None:
         try:
-            self.k_qkd = self.cfg.qkd_store.fetch(ident)
+            self.intermediate["qkd"] = self.cfg.qkd_store.fetch(ident)
         except UnknownQkdIdError as exc:
             self._abort(AbortReason.UNKNOWN_QKD_ID, str(exc))
         self.shared = self.kem.decapsulate(self.eph.secret_key, c_pq)
@@ -473,32 +476,33 @@ class _Party:
     def _send_cert(self, index: int, pad: str) -> list:
         return [self._xor_pad(pad, self.cfg.long_term.public_key)]
 
-    def _recv_cert(self, index: int, data: bytes, pad: str) -> None:
-        cert = self._xor_pad(pad, self._expect(data, index)[0])
-        if cert not in self.cfg.trusted_certs:
+    def _recv_cert(self, index: int, pad: str, sealed: bytes) -> None:
+        self.peer_cert = self._xor_pad(pad, sealed)
+        if self.peer_cert not in self.cfg.trusted_certs:
             self._abort(AbortReason.CERT_UNTRUSTED,
                         f"{self.peer} certificate not in the anchor set")
-        self.peer_cert = cert
 
     def _send_kem(self, index: int, pad: str) -> list:
         c, self.shared = self.kem.encapsulate(self.peer_cert)
         return [self._xor_pad(pad, c)]
 
-    def _recv_kem(self, index: int, data: bytes, pad: str) -> None:
-        c = self._xor_pad(pad, self._expect(data, index)[0])
+    def _recv_kem(self, index: int, pad: str, sealed: bytes, *_) -> None:
+        c = self._xor_pad(pad, sealed)
         self.shared = self.kem.decapsulate(self.cfg.long_term.secret_key, c)
 
-    def _send_finish(self, index: int, fk: str, pad: str, *_) -> list:
+    def _padded_tag(self, index: int, fk: str, pad: str) -> BitString:
+        """The finish tag of message `index` under fk, over every message
+        before it, xored with the next segment of the pad."""
         t = self.cfg.tag_bits
-        tag = transcript_mac(self.intermediate[fk], self._full(index - 1), t)
-        return [(tag ^ self._take(pad, t)).to_bytes()]
+        return transcript_mac(self.intermediate[fk], self._full(index - 1),
+                              t) ^ self._take(pad, t)
 
-    def _recv_finish(self, index: int, data: bytes, fk: str, pad: str,
-                     reason: AbortReason) -> None:
-        t = self.cfg.tag_bits
-        tag = self._expect(data, index)[0] ^ self._take(pad, t)
-        want = transcript_mac(self.intermediate[fk], self._full(index - 1), t)
-        if tag != want:
+    def _send_finish(self, index: int, fk: str, pad: str, *_) -> list:
+        return [self._padded_tag(index, fk, pad).to_bytes()]
+
+    def _recv_finish(self, index: int, fk: str, pad: str,
+                     reason: AbortReason, tag: BitString, *_) -> None:
+        if tag != self._padded_tag(index, fk, pad):
             self._abort(reason, f"{self.peer} finish tag does not verify")
 
 
@@ -604,14 +608,15 @@ def run_handshake(init_cfg: HandshakeConfig, resp_cfg: HandshakeConfig,
             receiver.receive(index, channel.deliver(sender.send(index)))
     except HandshakeAbort as exc:
         return RunResult(None, None, OUTCOME_ABORT, exc.reason, exc.party,
-                         params, tuple(channel.log), init, resp)
+                         params, tuple(channel.log))
     except ChannelClosed:
         lost_to = RECEIVER[len(channel.log) + 1]
         return RunResult(None, None, OUTCOME_ABORT, AbortReason.CHANNEL_LOSS,
-                         lost_to, params, tuple(channel.log), init, resp)
-    filled = replace(params, seed_lens=tuple(init.seed_lens))
+                         lost_to, params, tuple(channel.log))
+    # seeds go out in stage order, so a party keeps them in stage order
+    filled = replace(params, seed_lens=tuple(map(len, init.seeds.values())))
     return RunResult(init.finals, resp.finals, OUTCOME_SUCCESS, None, None,
-                     filled, tuple(channel.log), init, resp)
+                     filled, tuple(channel.log))
 
 
 def dump_transcript(messages) -> str:

@@ -2,10 +2,18 @@
 
 The handshake derives nine keys through a chain of four seeded
 extractions. Each stage consumes one information-theoretically secure
-input key and emits its outputs plus the next chain key. Each stage
-meets eps = 2^-floor(log2(1/eps')) (`_stage_eps`) and pays the hash
-penalty P = `bounds.required_hmin(0, eps)` = 2*floor(log2(1/eps')) - 2
-bits: its secure input must carry `required_hmin(outputs, eps)` bits.
+input key and emits its outputs plus the next chain key. STAGES is the
+one statement of this wiring: per stage, its key inputs in hashing
+order, the one of them that is secure (the pre-shared block "qkd" for
+stage 1, the previous stage's chain key after it) and its outputs in
+emission order. `budget` reads each stage's secure input from it,
+`schedule_stage` the secure key's input position, and the protocol
+every stage's PRF inputs, key list and seed length.
+
+Each stage meets eps = 2^-floor(log2(1/eps')) (`_stage_eps`) and pays
+the hash penalty P = `bounds.required_hmin(0, eps)` =
+2*floor(log2(1/eps')) - 2 bits: its secure input must carry
+`required_hmin(outputs, eps)` bits.
 Back-substituting the four stage budgets gives the chain lengths and the
 total QKD bits required up front:
 
@@ -26,11 +34,12 @@ What is computed once. The chain lengths, each stage's output lengths,
 the stage eps and the hash penalty depend only on public parameters
 (the nine per-key lengths and eps'), so they are computed once and
 kept: `budget` keeps the ScheduleParams of its last _BUDGET_MEMO
-argument pairs, a ScheduleParams computes its per-stage output lengths
-on first use, and the stage eps and penalty are kept per eps'. Nothing
-secret is kept: no key, seed, transcript or output. Each `schedule_stage`
-call then does only the per-message work: it joins its inputs, checks
-the seed and the budget, runs the one extraction and splits its int.
+argument pairs, a ScheduleParams computes its key lengths by name and
+its per-stage output lengths on first use, and the stage eps and
+penalty are kept per eps'. Nothing secret is kept: no key, seed,
+transcript or output. Each `schedule_stage` call then does only the
+per-message work: it joins its inputs, checks the seed and the budget,
+runs the one extraction and splits its int.
 
 Refusals. Every length (n, the nine per-key lengths, a stage's output
 lengths) must be a finite whole number and not a bool, or the call
@@ -46,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,12 +68,26 @@ from ..toeplitz import ExtractorParams, SeededHash, extract_fast
 KEY_NAMES = ("IATS", "RATS", "SecStateNext", "fk_I", "fk_R",
              "IAHTS", "RAHTS", "IHTS", "RHTS")
 
-# stage -> its output names in emission order; the first output of stages
-# 1-3 is the chain key, the secure input of the next stage
-STAGE_OUTPUTS = {1: ("k1", "IHTS", "RHTS"),
-                 2: ("k2", "IAHTS", "RAHTS"),
-                 3: ("k3", "fk_I", "fk_R"),
-                 4: ("IATS", "RATS", "SecStateNext")}
+
+class Stage(NamedTuple):
+    """One extraction stage's key wiring."""
+
+    inputs: tuple       # key names in hashing order
+    secure: str         # the input that carries full min-entropy
+    outputs: tuple      # output names in emission order
+
+
+# stage -> its wiring, the only statement of it: "qkd" is the pre-shared
+# block, the first output of stages 1-3 is the chain key (the next
+# stage's secure input), and every other input is a PRF key the protocol
+# derives from the transcript so far
+STAGES = {1: Stage(("k_pq", "qkd", "k_SecState"), "qkd",
+                   ("k1", "IHTS", "RHTS")),
+          2: Stage(("k1", "k_pq_I"), "k1", ("k2", "IAHTS", "RAHTS")),
+          3: Stage(("k2", "k_pq_R"), "k2", ("k3", "fk_I", "fk_R")),
+          4: Stage(("k3",), "k3", ("IATS", "RATS", "SecStateNext"))}
+# stage -> its output names in emission order
+STAGE_OUTPUTS = {stage: wiring.outputs for stage, wiring in STAGES.items()}
 
 
 # (per-key lengths, eps') pairs whose ScheduleParams `budget` keeps, and
@@ -155,13 +178,19 @@ class ScheduleParams:
             raise ValueError("stage must be 1..4")
         return self._out_lens[stage]
 
+    # both computed on first use (a dataclass field would enter eq, repr
+    # and `replace`)
+    @functools.cached_property
+    def key_lens(self) -> dict:
+        """Bits of each key the schedule sizes, by name: the nine outputs,
+        the chain keys and the pre-shared block "qkd"."""
+        return dict(zip(KEY_NAMES, self.per_key_lengths), k1=self.k1,
+                    k2=self.k2, k3=self.k3, qkd=self.qkd_budget)
+
     @functools.cached_property
     def _out_lens(self) -> dict:
-        # stage -> its output lengths, computed on first use (a dataclass
-        # field would enter eq, repr and `replace`)
-        lens = dict(zip(KEY_NAMES, self.per_key_lengths),
-                    k1=self.k1, k2=self.k2, k3=self.k3)
-        return {stage: tuple(lens[name] for name in names)
+        # stage -> its output lengths
+        return {stage: tuple(map(self.key_lens.get, names))
                 for stage, names in STAGE_OUTPUTS.items()}
 
 
@@ -208,12 +237,10 @@ def _budget(lengths: tuple, eps_prime: SecurityLevel) -> ScheduleParams:
     """`budget` of validated per-key lengths."""
     eps = _stage_eps(eps_prime)
     lens = dict(zip(KEY_NAMES, lengths))
-    # a stage's secure input carries the entropy its outputs require:
-    # the previous stage's chain key, or for stage 1 the QKD block
-    for stage in (4, 3, 2, 1):
-        secure = STAGE_OUTPUTS[stage - 1][0] if stage > 1 else "qkd"
-        lens[secure] = _input_bits(
-            sum(lens[name] for name in STAGE_OUTPUTS[stage]), eps)
+    # a stage's secure input carries the entropy its outputs require;
+    # from the last stage back, each chain key is sized before it is read
+    for _, secure, outputs in reversed(STAGES.values()):
+        lens[secure] = _input_bits(sum(lens[name] for name in outputs), eps)
     common = lengths[0] if len(set(lengths)) == 1 else 0
     return ScheduleParams(n=common, eps_prime=eps_prime,
                           per_key_lengths=lengths, k1=lens["k1"],
@@ -231,8 +258,9 @@ def schedule_stage(stage: int, key_material: Sequence[BitString],
     seed must be exactly one bit shorter. The total output must fit the
     stage's information-theoretic budget: the length of the one key in
     key_material that carries full conditional min-entropy, minus the
-    hash penalty. That secure key is the second key in stage 1 (the
-    pre-shared block) and the first (the chain key) in later stages.
+    hash penalty. That secure key sits where STAGES places the stage's
+    secure input: second in stage 1 (the pre-shared block), first (the
+    chain key) in later stages.
 
     Args:
         stage: 1..4; picks the secure key and names the stage in errors.
@@ -246,10 +274,10 @@ def schedule_stage(stage: int, key_material: Sequence[BitString],
     Returns:
         One BitString per entry of out_lens.
     """
-    if stage not in STAGE_OUTPUTS:
+    if stage not in STAGES:
         raise ValueError("stage must be 1..4")
     keys = list(key_material)
-    secure = 1 if stage == 1 else 0
+    secure = STAGES[stage].inputs.index(STAGES[stage].secure)
     if len(keys) <= secure:
         raise ValueError(f"stage {stage} needs its secure key at input "
                          f"position {secure}")

@@ -320,6 +320,24 @@ def test_combine_private_refuses_a_transcript(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threat", ["no-reveal", "reveal-output"])
+def test_combine_refuses_a_revealed_key_under_a_threat_that_reveals_none(
+        tmp_path, capsys, threat):
+    # it once exited 0 with a key sized as if no index had been given
+    rng = np.random.default_rng(70)
+    _write_bits(tmp_path / "k1.qbits", rng, 128)
+    _write_bits(tmp_path / "k2.qbits", rng, 127)
+    _write_spec(tmp_path / "k1.kv", "k1", 128, 128)
+    _write_spec(tmp_path / "k2.kv", "k2", 127, 127)
+    report = tmp_path / "r.kv"
+    assert main(_combine_argv(tmp_path, "private", "--threat", threat,
+                              "--revealed-key", "2", "--report",
+                              str(report))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: revealed_key 2 needs a threat")
+    assert not report.exists()
+
+
 def test_combine_missing_ordering_flag_errors(tmp_path, capsys):
     rng = np.random.default_rng(66)
     _write_bits(tmp_path / "k1.qbits", rng, 128)

@@ -111,6 +111,38 @@ def test_combine_request_refuses_a_key_index_that_is_not_1_or_2(bad):
                          revealed_key=bad)
 
 
+@pytest.mark.parametrize("revealed_key", [1, 2])
+@pytest.mark.parametrize("threat", [ThreatCase.NO_REVEAL,
+                                    ThreatCase.CONTROLLED_KEY,
+                                    ThreatCase.REVEAL_OUTPUT])
+def test_combiners_refuse_a_revealed_key_under_a_threat_that_reveals_none(
+        threat, revealed_key):
+    # both front ends once ignored the index and sized the output for the
+    # threat named, not the one the caller meant; the refusal comes
+    # before planning, so ControlledKey gives it rather than Infeasible
+    rng = np.random.default_rng(39)
+    key1, spec1 = _key(rng, 128, "k1")
+    key2, spec2 = _key(rng, 256, "k2")
+    seed = BitString.from_u8(rng.integers(0, 2, 383, dtype=np.uint8))
+    for mode, run in ((CombineMode.PRIVATE_SEED, combine_private),
+                      (CombineMode.PUBLIC_SEED, combine_public)):
+        public = mode is CombineMode.PUBLIC_SEED
+        req = CombineRequest(
+            key1=key1, spec1=spec1, key2=key2, spec2=spec2, mode=mode,
+            eps_hash=E32, threat=threat, revealed_key=revealed_key,
+            seed=seed if public else None, seed_after_keys=True,
+            auto_truncate=True)
+        with pytest.raises(ValueError, match="needs a threat that reveals"
+                                             ) as refused:
+            run(req)
+        assert not isinstance(refused.value, Infeasible)
+        # without the index the same request is answered
+        try:
+            run(replace(req, revealed_key=None))
+        except Infeasible:
+            assert threat is ThreatCase.CONTROLLED_KEY
+
+
 def test_controlled_key_combination_refused():
     rng = np.random.default_rng(35)
     with pytest.raises(Infeasible):

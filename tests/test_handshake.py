@@ -279,7 +279,78 @@ def test_tamper_spec_parse_and_apply():
         TamperSpec(1, 8).apply(b"\x00")
 
 
+# -- the stage table ---------------------------------------------------------
+
+
+def test_stage_table_chains_each_stage_on_one_secure_input():
+    # stage 1 rests on the pre-shared block, every later stage on the
+    # chain key the stage before it emits first
+    for stage, (inputs, secure, outputs) in schedule.STAGES.items():
+        assert inputs.count(secure) == 1
+        want = "qkd" if stage == 1 else schedule.STAGES[stage - 1].outputs[0]
+        assert secure == want
+        assert schedule.STAGE_OUTPUTS[stage] == outputs
+
+
+def test_stage_table_other_inputs_are_the_protocols_prf_keys():
+    # every input besides the secure one is a PRF key the protocol
+    # derives, and each PRF key feeds exactly one stage
+    derived = [name for inputs, secure, _ in schedule.STAGES.values()
+               for name in inputs if name != secure]
+    assert sorted(derived) == sorted(protocol._PRF_KEYS)
+    assert set(protocol._STAGE_LABELS) == set(schedule.STAGES)
+
+
+def test_stage_table_names_every_output_once():
+    outputs = [name for wiring in schedule.STAGES.values()
+               for name in wiring.outputs]
+    assert len(outputs) == len(set(outputs)) == 12
+    assert set(outputs) == set(schedule.KEY_NAMES) | {"k1", "k2", "k3"}
+    assert not set(outputs) & ({"qkd"} | set(protocol._PRF_KEYS))
+
+
+def test_budget_sizes_each_secure_input_from_the_table():
+    # k1, k2, k3 and the QKD block each carry required_hmin of the summed
+    # outputs of the stage they feed, those outputs read from the table
+    lens = (32, 32, 64, 48, 48, 64, 64, 16, 16)
+    for lengths in ((64,) * 9, lens, lens[::-1]):
+        for lg in (8.0, 16.5, 64.0):
+            params = budget(0, SecurityLevel(lg), per_key_lengths=lengths)
+            bits = dict(zip(schedule.KEY_NAMES, lengths), k1=params.k1,
+                        k2=params.k2, k3=params.k3, qkd=params.qkd_budget)
+            assert params.key_lens == bits
+            for stage, (_, secure, outputs) in schedule.STAGES.items():
+                need = required_hmin(sum(bits[name] for name in outputs),
+                                     params.stage_eps)
+                assert bits[secure] == need, (lengths, lg, stage)
+
+
 # -- end-to-end runs ---------------------------------------------------------
+
+
+def test_a_clean_run_result_holds_no_key_outside_its_finals():
+    # no party, and so no intermediate key, pad, QKD block or KEM secret,
+    # outlives the run in its result
+    result = _toy_run()
+    assert result.outcome == OUTCOME_SUCCESS
+    seen = set()
+
+    def walk(value):
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        assert not isinstance(value, (BitString, protocol._Party)), value
+        if isinstance(value, dict):
+            items = [*value, *value.values()]
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            items = value
+        else:
+            items = getattr(value, "__dict__", {}).values()
+        for item in items:
+            walk(item)
+
+    walk(result._replace(initiator_finals=None, responder_finals=None))
+    assert len(seen) > 10       # the walk reached the params' fields
 
 
 def test_clean_run_agrees_on_finals():

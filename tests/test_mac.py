@@ -297,6 +297,25 @@ def test_message_blocks_match_on_both_sides_of_the_crossover(monkeypatch,
             assert np.array_equal(got[-1], want[-1]), (size, b)
 
 
+def test_framed_in_place_matches_the_framed_bytes():
+    # transcript_mac writes the header and the message straight into the
+    # kept array; its blocks equal those of the framed bytes passed whole,
+    # on framed lengths either side of the gather crossover, after an
+    # all-ones message has filled the kept arrays
+    crossover = mac._WINDOW_BYTES
+    rng = np.random.default_rng(56)
+    for b in (1, 7, 8, 9, 60, 385, 1006):
+        for size in (1, 100, crossover - 9, crossover - 8, crossover + 1):
+            message = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+            framed = (8 * size).to_bytes(8, "big") + message
+            mac._message_blocks(b"\xff" * (2 * crossover), b)
+            whole = mac._message_blocks(framed, b).copy()
+            mac._message_blocks(b"\xff" * (2 * crossover), b)
+            in_place = mac._framed(message, b)
+            assert in_place.tobytes() == framed
+            assert np.array_equal(mac._message_blocks(in_place, b), whole)
+
+
 def _chained_bit_model(fk, message, t):
     # the tag from the definition over unpacked bits: the t x b Toeplitz
     # block of the seed's hash matrix times each b-bit block of the
